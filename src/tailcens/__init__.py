@@ -22,6 +22,7 @@ from .empirical import (
 from .estimators import (
     EstimateResult,
     EstimationError,
+    MdpdWindow,
     NoRootError,
     SolverOptions,
     censored_proportion,
@@ -61,7 +62,7 @@ __all__ = [
     "mu", "mu_closed_form", "phi", "phi_star", "sigma_squared", "sigma_squared_mc",
     "empirical_subdistributions", "kaplan_meier_survival", "mdpd_weights",
     "na_tail_ratio", "nelson_aalen_survival",
-    "EstimateResult", "EstimationError", "NoRootError", "SolverOptions",
+    "EstimateResult", "EstimationError", "MdpdWindow", "NoRootError", "SolverOptions",
     "censored_proportion", "efg_estimator", "hill_gamma", "mdpd_estimate",
     "mdpd_objective", "mdpd_residual", "mns_estimator", "worms_estimator",
     "CensoredObservation", "InvalidSampleError", "ModelParams", "OrderedSample",

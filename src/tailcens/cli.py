@@ -233,6 +233,8 @@ def build_sweep_spec(values: dict, replicates_override: int | None = None,
 def cmd_sweep(args) -> int:
     import os
 
+    if args.threads < 1:
+        raise CliError("--threads must be >= 1")
     values = parse_sweep_config(args.config)
     replicates = 2000 if args.full_scale else args.replicates
     spec = build_sweep_spec(values, replicates_override=replicates,
@@ -375,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--full-scale", action="store_true",
                      help="run 2000 replicates regardless of config")
     swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--threads", type=int, default=1)
+    swp.add_argument("--threads", type=int, default=1,
+                     help="worker processes, capped at the usable CPUs; "
+                          "output is identical for any count")
     swp.add_argument("--emit-svg", action="store_true")
     swp.set_defaults(func=cmd_sweep)
 

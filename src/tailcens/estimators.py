@@ -14,6 +14,7 @@ the MNS estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,6 +49,13 @@ class SolverOptions:
     grid_points: int = 200
     tol_abs: float = 1e-10
     max_iter: int = 200
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Geometric scan grid over the search domain; built once, read-only."""
+        grid = np.geomspace(self.domain_lo, self.domain_hi, self.grid_points)
+        grid.flags.writeable = False
+        return grid
 
 
 @dataclass(frozen=True)
@@ -117,20 +125,6 @@ def mns_estimator(sample: OrderedSample, k: int) -> float:
     return float(np.dot(weights, log_exc))
 
 
-def _residual_terms(gamma1, weights: np.ndarray, log_exc: np.ndarray, alpha: float):
-    """Estimating-equation residual, vectorized over gamma1 (scalar or 1-d)."""
-    g = np.asarray(gamma1, dtype=float)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    expo = -alpha * (1.0 + 1.0 / g)  # (m,)
-    # r_i^{expo} = exp(expo * L_i)
-    powers = np.exp(np.outer(expo, log_exc))  # (m, k)
-    empirical = powers @ (weights * -log_exc) + (powers @ weights) * g
-    model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
-    out = empirical - model
-    return out[0] if scalar else out
-
-
 def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
     """Residual of the MDPD estimating equation at gamma1.
 
@@ -139,9 +133,7 @@ def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> f
     if gamma1 <= 0:
         raise ValueError(f"gamma1={gamma1} must be > 0")
     config.check_against(sample.n)
-    weights = mdpd_weights(sample, config.k)
-    log_exc, _ = top_log_excesses(sample, config.k)
-    return float(_residual_terms(gamma1, weights, log_exc, config.alpha))
+    return MdpdWindow(sample, config.k).residual(gamma1, config.alpha)
 
 
 def mdpd_objective(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
@@ -164,68 +156,118 @@ def mdpd_objective(gamma1: float, sample: OrderedSample, config: TailConfig) -> 
     return model - (1.0 + 1.0 / alpha) * float(np.dot(weights, density_pow))
 
 
+class MdpdWindow:
+    """The top-k window of one sample, shared by the MDPD solves at every alpha.
+
+    Holds what the estimating equation needs that does not depend on alpha,
+    each computed on first use: the weights a_ik, the log-excesses L_i, the
+    products a_ik * -L_i and the MNS reference; and scratch buffers that
+    each residual evaluation overwrites.  Not safe to share between threads.
+    """
+
+    def __init__(self, sample: OrderedSample, k: int):
+        if not 1 <= k <= sample.n - 1:
+            raise ValueError(f"k={k} out of range for sample size n={sample.n}")
+        self.sample = sample
+        self.k = k
+        self._point = np.empty((1, k))
+        self._scan = np.empty((0, k))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return mdpd_weights(self.sample, self.k)
+
+    @cached_property
+    def log_exc(self) -> np.ndarray:
+        return top_log_excesses(self.sample, self.k)[0]
+
+    @cached_property
+    def _weighted_neg_log(self) -> np.ndarray:
+        return self.weights * -self.log_exc
+
+    @cached_property
+    def reference(self) -> float:
+        """MNS estimate of the window, which is also the alpha = 0 solution."""
+        return mns_estimator(self.sample, self.k)
+
+    def _residuals(self, g: np.ndarray, alpha: float, powers: np.ndarray) -> np.ndarray:
+        """Residual at each gamma1 of the 1-d array g; powers is a (g.size, k) buffer."""
+        expo = -alpha * (1.0 + 1.0 / g)
+        # powers[j, i] = r_i^{expo_j} = exp(expo_j * L_i)
+        np.multiply(expo[:, None], self.log_exc, out=powers)
+        np.exp(powers, out=powers)
+        empirical = powers @ self._weighted_neg_log + (powers @ self.weights) * g
+        model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
+        return empirical - model
+
+    def residual(self, gamma1: float, alpha: float) -> float:
+        """Residual of the estimating equation at one gamma1.
+
+        The arithmetic of :meth:`_residuals` on a one-point grid, operation
+        for operation (``d * d`` is what numpy's ``** 2`` computes), without
+        the small-array overhead that would dominate Brent's many calls.
+        """
+        g = float(gamma1)
+        powers = self._point
+        np.multiply(self.log_exc, -alpha * (1.0 + 1.0 / g), out=powers[0])
+        np.exp(powers, out=powers)
+        d = 1.0 + alpha + alpha * g
+        return float((powers @ self._weighted_neg_log)[0] + (powers @ self.weights)[0] * g
+                     - alpha * g * (g + 1.0) / (d * d))
+
+    def estimate(self, alpha: float,
+                 options: SolverOptions = SolverOptions()) -> EstimateResult:
+        """MDPD estimate at tuning parameter alpha >= 0; see :func:`mdpd_estimate`."""
+        k = self.k
+        if alpha == 0.0:
+            value = self.reference
+            if value <= 0.0:
+                raise EstimationError("all top observations censored")
+            return EstimateResult(value, "MNS", 0.0, k)
+        if not np.any(self.weights > 0):
+            raise NoRootError("no root exists: all top observations censored")
+
+        grid = options.grid
+        if self._scan.shape[0] != grid.size:
+            self._scan = np.empty((grid.size, k))
+        values = self._residuals(grid, alpha, self._scan)
+        sign_change = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
+        exact_hits = np.nonzero(values == 0.0)[0]
+        if sign_change.size == 0 and exact_hits.size == 0:
+            raise NoRootError(
+                f"no root in bracket ({options.domain_lo}, {options.domain_hi})",
+                grid=grid, residuals=values)
+
+        roots = [(float(grid[j]), 0.0, (float(grid[j]), float(grid[j])), 0)
+                 for j in exact_hits]
+        for j in sign_change:
+            lo, hi = float(grid[j]), float(grid[j + 1])
+            root, info = brentq(self.residual, lo, hi, args=(alpha,), xtol=1e-14,
+                                rtol=8.9e-16, maxiter=options.max_iter, full_output=True)
+            res = self.residual(root, alpha)
+            if abs(res) <= options.tol_abs:
+                roots.append((root, res, (lo, hi), info.iterations))
+        if not roots:
+            raise NoRootError("no root met the residual tolerance", grid=grid, residuals=values)
+
+        best = min(roots, key=lambda r: abs(r[0] - self.reference))
+        return EstimateResult(
+            gamma1_hat=best[0], method="MDPD", alpha=alpha, k=k,
+            residual=best[1], iterations=best[3], bracket=best[2],
+            all_roots=tuple(r[0] for r in roots))
+
+
 def mdpd_estimate(sample: OrderedSample, config: TailConfig,
                   options: SolverOptions = SolverOptions()) -> EstimateResult:
     """MDPD tail index estimate by root-finding on the estimating equation.
 
     For alpha = 0 the MNS estimator is returned exactly.  For alpha > 0 a
     geometric grid over the search domain is scanned for sign changes,
-    every bracket is refined by Brent's method, and the root closest to
-    the MNS estimate (the alpha = 0 solution) is reported; all roots are
-    kept in the result diagnostics.
+    every bracket is refined by Brent's method, roots whose residual
+    exceeds ``options.tol_abs`` are rejected, and the root closest to the
+    MNS estimate (the alpha = 0 solution) is reported; all accepted roots
+    are kept in the result diagnostics.  To solve one window at several
+    alphas, build one :class:`MdpdWindow` and call its ``estimate``.
     """
     config.check_against(sample.n)
-    k, alpha = config.k, config.alpha
-    if alpha == 0.0:
-        value = mns_estimator(sample, k)
-        if value <= 0.0:
-            raise EstimationError("all top observations censored")
-        return EstimateResult(value, "MNS", 0.0, k)
-
-    weights = mdpd_weights(sample, k)
-    log_exc, _ = top_log_excesses(sample, k)
-    if not np.any(weights > 0):
-        raise NoRootError("no root exists: all top observations censored")
-
-    grid = np.geomspace(options.domain_lo, options.domain_hi, options.grid_points)
-    values = _residual_terms(grid, weights, log_exc, alpha)
-    sign_change = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    exact_hits = np.nonzero(values == 0.0)[0]
-    if sign_change.size == 0 and exact_hits.size == 0:
-        raise NoRootError(
-            f"no root in bracket ({options.domain_lo}, {options.domain_hi})",
-            grid=grid, residuals=values)
-
-    def rho(g: float) -> float:
-        return float(_residual_terms(g, weights, log_exc, alpha))
-
-    roots: list[tuple[float, float, tuple[float, float], int]] = []
-    for j in exact_hits:
-        roots.append((float(grid[j]), 0.0, (float(grid[j]), float(grid[j])), 0))
-    for j in sign_change:
-        lo, hi = float(grid[j]), float(grid[j + 1])
-        root, info = brentq(rho, lo, hi, xtol=1e-14, rtol=8.9e-16,
-                            maxiter=options.max_iter, full_output=True)
-        res = rho(root)
-        iters = info.iterations
-        while abs(res) > options.tol_abs and iters < options.max_iter:
-            # safeguarded bisection polish; rarely triggered after Brent
-            if rho(lo) * res < 0:
-                hi = root
-            else:
-                lo = root
-            root = 0.5 * (lo + hi)
-            res = rho(root)
-            iters += 1
-        if abs(res) > options.tol_abs:
-            continue
-        roots.append((root, res, (float(grid[j]), float(grid[j + 1])), iters))
-    if not roots:
-        raise NoRootError("no root met the residual tolerance", grid=grid, residuals=values)
-
-    reference = mns_estimator(sample, k)
-    best = min(roots, key=lambda r: abs(r[0] - reference))
-    return EstimateResult(
-        gamma1_hat=best[0], method="MDPD", alpha=alpha, k=k,
-        residual=best[1], iterations=best[3], bracket=best[2],
-        all_roots=tuple(r[0] for r in roots))
+    return MdpdWindow(sample, config.k).estimate(config.alpha, options)

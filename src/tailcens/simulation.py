@@ -16,17 +16,17 @@ byte-identical regardless of execution order or worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimationError, mdpd_estimate
-from .sample_model import CensoredObservation, ModelParams, TailConfig, ordered_from_arrays
+from .estimators import EstimationError, MdpdWindow
+from .sample_model import CensoredObservation, ModelParams, ordered_from_arrays
 
-try:
-    from joblib import Parallel, delayed
-except ImportError:  # pragma: no cover - joblib is a declared dependency
-    Parallel = None
+# Contiguous replicate ranges handed to each worker process: more than one
+# per worker, so a worker that finishes early picks up another range.
+CHUNKS_PER_WORKER = 4
 
 
 def burr_quantile(u, gamma1: float, eta: float):
@@ -43,7 +43,9 @@ def frechet_quantile(u, gamma2: float):
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0) | (u >= 1)):
         raise ValueError("u must lie in (0, 1)")
-    out = (-np.log(u)) ** (-gamma2)
+    # for u close to 1 the quantile exceeds the float range; its limit is +inf
+    with np.errstate(over="ignore"):
+        out = (-np.log(u)) ** (-gamma2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -145,6 +147,7 @@ class SweepResult:
 
     rows: tuple[tuple, ...]  # (k, alpha, abs_bias, mse, n_failures)
     spec: SweepSpec = field(repr=False, default=None)
+    workers: int = 1  # worker processes actually used
 
 
 def _replicate_estimates(spec: SweepSpec, replicate: int) -> np.ndarray:
@@ -153,30 +156,55 @@ def _replicate_estimates(spec: SweepSpec, replicate: int) -> np.ndarray:
     _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination, rng)
     sample = ordered_from_arrays(z, delta)
     out = np.full((len(spec.k_grid), len(spec.alphas)), np.nan)
-    for a, k in np.ndindex(out.shape[::-1]):
-        try:
-            result = mdpd_estimate(sample, TailConfig(k=spec.k_grid[k], alpha=spec.alphas[a]))
-            out[k, a] = result.gamma1_hat
-        except EstimationError:
-            pass
+    for ki, k in enumerate(spec.k_grid):
+        window = MdpdWindow(sample, k)
+        for ai, alpha in enumerate(spec.alphas):
+            try:
+                out[ki, ai] = window.estimate(alpha).gamma1_hat
+            except EstimationError:
+                pass
     return out
+
+
+def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
+    """Stacked estimates of replicates start..stop-1, shape (stop-start, k, alpha)."""
+    return np.stack([_replicate_estimates(spec, r) for r in range(start, stop)])
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     """Bias/MSE table over the (k, alpha) grid.
 
     Failures (no root) are excluded from the moments and counted; a cell
-    where every replicate failed is reported with NaN metrics.  The
-    reduction is keyed by replicate index, so the result does not depend
-    on n_jobs or scheduling.
+    where every replicate failed is reported with NaN metrics.  Replicates
+    run in min(n_jobs, usable CPUs, replicates) worker processes, each on
+    contiguous replicate ranges; the ranges are concatenated in replicate
+    order, so the result does not depend on n_jobs or scheduling.
     """
-    indices = range(spec.replicates)
-    if n_jobs != 1 and Parallel is not None:
-        estimates = Parallel(n_jobs=n_jobs)(
-            delayed(_replicate_estimates)(spec, r) for r in indices)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs={n_jobs} must be >= 1")
+    workers = min(n_jobs, _usable_cpus(), spec.replicates)
+    if workers == 1:
+        stacked = _replicate_range(spec, 0, spec.replicates)
     else:
-        estimates = [_replicate_estimates(spec, r) for r in indices]
-    stacked = np.stack(estimates)  # (replicates, k, alpha)
+        # imported here, so that only a pooled sweep pays for the import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunks = min(workers * CHUNKS_PER_WORKER, spec.replicates)
+        bounds = [spec.replicates * i // chunks for i in range(chunks + 1)]
+        # fork: workers inherit the imported numpy and scipy; a fresh
+        # interpreter per worker would spend over a second importing them
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            stacked = np.concatenate(list(pool.map(
+                _replicate_range, [spec] * chunks, bounds[:-1], bounds[1:])))
 
     rows = []
     with np.errstate(invalid="ignore"):
@@ -192,4 +220,4 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
                 abs_bias = float(abs(np.mean(errors)))
                 mse = float(np.mean(errors ** 2))
                 rows.append((k, alpha, abs_bias, mse, failures))
-    return SweepResult(rows=tuple(rows), spec=spec)
+    return SweepResult(rows=tuple(rows), spec=spec, workers=workers)

@@ -143,6 +143,18 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     assert len(sweep_lines) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out),
+                                "--threads", threads)
+    assert code == 1
+    assert err.strip() == "error: --threads must be >= 1"
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_replicate_one_row_counts(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n"

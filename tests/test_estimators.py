@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from tailcens import (
     EstimationError,
+    MdpdWindow,
     NoRootError,
     SolverOptions,
     TailConfig,
@@ -256,3 +258,58 @@ def test_random_samples_root_residual(seed):
         return
     assert abs(result.residual) <= 1e-10
     assert abs(mdpd_residual(result.gamma1_hat, s, config)) <= 1e-10
+
+
+def reference_residuals(g, weights, log_exc, alpha):
+    """Estimating-equation residual with fresh outer-product temporaries, vectorized over g."""
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    powers = np.exp(np.outer(-alpha * (1.0 + 1.0 / g), log_exc))
+    return (powers @ (weights * -log_exc) + (powers @ weights) * g
+            - alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_residuals_bitwise_equal_reference(seed):
+    # the grid scan and the Brent evaluations reuse buffers; neither may
+    # change a single bit of the residual, underflowing powers included
+    rng = np.random.default_rng(seed)
+    z = rng.pareto(1.0 + seed, 600) + 1
+    d = (rng.random(600) < 0.6).astype(int)
+    s = ordered_from_arrays(z, d)
+    grid = SolverOptions().grid
+    for k in (1, 40, 299):
+        window = MdpdWindow(s, k)
+        w = mdpd_weights(s, k)
+        log_exc, _ = top_log_excesses(s, k)
+        for alpha in (1e-4, 0.1, 0.5, 2.0):
+            expected = reference_residuals(grid, w, log_exc, alpha)
+            scan = window._residuals(grid, alpha, np.empty((grid.size, k)))
+            assert scan.tobytes() == expected.tobytes()
+            for g in np.concatenate([grid[::17], rng.uniform(1e-3, 5.0, 5)]):
+                assert window.residual(g, alpha) == reference_residuals(g, w, log_exc, alpha)[0]
+
+
+def test_window_estimates_equal_single_cell_estimates():
+    rng = np.random.default_rng(4)
+    z = rng.pareto(2.0, 400) + 1
+    d = (rng.random(400) < 0.7).astype(int)
+    s = ordered_from_arrays(z, d)
+    coarse = SolverOptions(grid_points=50)
+    for k in (5, 60, 200):
+        window = MdpdWindow(s, k)
+        for alpha, options in [(0.5, SolverOptions()), (0.0, SolverOptions()),
+                               (0.1, coarse), (1.0, SolverOptions()), (0.3, coarse)]:
+            assert window.estimate(alpha, options) == mdpd_estimate(
+                s, TailConfig(k=k, alpha=alpha), options)
+
+
+def test_mdpd_iterations_are_brent_count():
+    rng = np.random.default_rng(6)
+    z = rng.pareto(2.0, 300) + 1
+    s = ordered_from_arrays(z, np.ones(300, dtype=int))
+    config = TailConfig(k=90, alpha=0.4)
+    result = mdpd_estimate(s, config)
+    root, info = brentq(mdpd_residual, *result.bracket, args=(s, config), xtol=1e-14,
+                        rtol=8.9e-16, full_output=True)
+    assert result.gamma1_hat == root
+    assert result.iterations == info.iterations > 0

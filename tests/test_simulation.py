@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +46,16 @@ def test_frechet_quantile_hand_values():
         frechet_quantile(0.0, 0.2)
     with pytest.raises(ValueError):
         frechet_quantile(1.0, 0.2)
+
+
+def test_frechet_quantile_overflow_is_inf_without_warning():
+    # for gamma2 = 100, (-log u)^(-gamma2) exceeds the float range as u -> 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frechet_quantile(1 - 1e-9, 100.0) == np.inf
+        values = frechet_quantile(np.array([0.5, 1 - 1e-9]), 100.0)
+    assert values[0] == pytest.approx(np.log(2) ** -100.0)
+    assert values[1] == np.inf
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-9),
@@ -160,6 +173,22 @@ def test_sweep_deterministic_across_threads():
     serial = run_sweep(spec, n_jobs=1)
     parallel = run_sweep(spec, n_jobs=3)
     assert serial.rows == parallel.rows
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_sweep_pooled_uses_two_workers_and_matches_serial():
+    spec = make_spec(replicates=9)
+    serial = run_sweep(spec, n_jobs=1)
+    pooled = run_sweep(spec, n_jobs=2)
+    assert (serial.workers, pooled.workers) == (1, 2)
+    assert pooled.rows == serial.rows
+
+
+def test_sweep_workers_capped_and_validated():
+    assert run_sweep(make_spec(replicates=1), n_jobs=4).workers == 1
+    for n_jobs in (0, -1):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_sweep(make_spec(), n_jobs=n_jobs)
 
 
 def test_sweep_desk_scale_bias():
