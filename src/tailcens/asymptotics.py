@@ -25,6 +25,8 @@ from scipy.stats import norm
 from .sample_model import ModelParams
 
 _QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
+# float64 values in one row block of the Monte Carlo increments (8 MB)
+_MC_BLOCK_VALUES = 2 ** 20
 
 
 def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
@@ -268,6 +270,10 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     the limiting stochastic integrals and returns the empirical variance
     of their sum together with its Monte Carlo standard error.
     Deterministic given the seed.
+
+    The increments are drawn and reduced one block of rows at a time in
+    a single reused buffer of about 8 MB, so memory is O(block * M)
+    whatever the replicate count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     p, q, gamma = model.p, model.q, model.gamma
@@ -297,10 +303,28 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     r = config.replicates
-    incr1 = rng.standard_normal((r, m)) * np.sqrt(p * ds)
-    incr2 = rng.standard_normal((r, m)) * np.sqrt(q * ds)
-    part1 = incr1 @ g1 - a_const * incr1.sum(axis=1)  # int G1 dB1 - a B1(1)
-    part2 = (incr2 @ g2) / gamma1
+    # a multiple of 64 rows: BLAS's matrix-vector kernel sums rows in groups
+    # of 4 per thread and a leftover row in another order, so whole groups
+    # keep every row's dot product equal to the one-matrix product's
+    rows = max(64, _MC_BLOCK_VALUES // m // 64 * 64)
+    buf = np.empty((min(rows, r), m))
+
+    def increment_blocks(variance: float):
+        # consecutive C-order (h, m) draws consume the Philox stream exactly
+        # as one (r, m) draw would, so blocking leaves every value unchanged
+        scale = np.sqrt(variance * ds)
+        for lo in range(0, r, rows):
+            block = buf[:min(rows, r - lo)]
+            rng.standard_normal(out=block)
+            np.multiply(block, scale, out=block)
+            yield lo, block
+
+    part1 = np.empty(r)
+    for lo, block in increment_blocks(p):  # int G1 dB1 - a B1(1)
+        part1[lo:lo + len(block)] = block @ g1 - a_const * block.sum(axis=1)
+    part2 = np.empty(r)
+    for lo, block in increment_blocks(q):
+        part2[lo:lo + len(block)] = (block @ g2) / gamma1
     totals = part1 + part2
     estimate = float(totals.var(ddof=1))
     # variance of a sample variance of (approximately) Gaussian draws
