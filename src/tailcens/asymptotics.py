@@ -145,20 +145,6 @@ def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelP
     return model
 
 
-def _psi_functions(alpha: float, gamma1: float, model: ModelParams):
-    """The two kernels entering the variance formula, plus a = phi_star(1)."""
-    gamma2, q, gamma = model.gamma2, model.q, model.gamma
-
-    def psi1(x):
-        return (x ** (1.0 / gamma2) * phi(x, alpha, gamma1)
-                - q * x ** (1.0 / gamma) * phi_star(x, alpha, gamma1))
-
-    def psi2(x):
-        return x ** (1.0 / gamma) * phi_star(x, alpha, gamma1)
-
-    return psi1, psi2, float(phi_star(1.0, alpha, gamma1))
-
-
 def _psi_term_lists(alpha: float, gamma1: float, model: ModelParams):
     """psi1 and psi2 as power-log term lists [(coef, exponent, log_power)].
 
@@ -258,6 +244,42 @@ class GaussianOracleConfig:
             raise ValueError("grade must be >= 1")
 
 
+def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
+               config: GaussianOracleConfig):
+    """G1 and G2 at the cell midpoints of the Monte Carlo grid.
+
+    The grid is s_j = (j/M)^grade on [0, 1]; G_m(s) = int_1^(s^-gamma)
+    psi_m(x) dx is built cell by cell in x = s^-gamma with 8-point
+    Gauss-Legendre, from the power-log term lists evaluated as
+    sum c * exp(e*log x) * (log x)^m.  Returns (ds, G1, G2, a) with the
+    cell widths ds and a = phi_star(1).
+    """
+    psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
+    m = config.grid_points
+    s = (np.arange(m + 1) / m) ** config.grade
+    s_mid = 0.5 * (s[:-1] + s[1:])
+    x_nodes = s_mid ** (-model.gamma)  # decreasing in j
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+
+    def g_at_midpoints(terms) -> np.ndarray:
+        def psi(x):
+            log_x = np.log(x)
+            return sum(c * np.exp(e * log_x) * log_x ** k for c, e, k in terms)
+
+        # cumulative int_1^{x_j} psi, built cell-by-cell from the right end
+        values = np.empty(m)
+        values[-1], _ = quad(psi, 1.0, x_nodes[-1], limit=200)
+        lo, hi = x_nodes[1:], x_nodes[:-1]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        cells = half * ((psi(mid[:, None] + half[:, None] * nodes[None, :])) @ wts)
+        values[:-1] = values[-1] + np.cumsum(cells[::-1])[::-1]
+        return values
+
+    return (np.diff(s), g_at_midpoints(psi1_terms), g_at_midpoints(psi2_terms),
+            float(phi_star(1.0, alpha, gamma1)))
+
+
 def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
                      config: GaussianOracleConfig = GaussianOracleConfig()
                      ) -> tuple[float, float]:
@@ -276,30 +298,9 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     whatever the replicate count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
-    p, q, gamma = model.p, model.q, model.gamma
-    psi1, psi2, a_const = _psi_functions(alpha, gamma1, model)
-
+    p, q = model.p, model.q
+    ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
     m = config.grid_points
-    s = (np.arange(m + 1) / m) ** config.grade
-    s_mid = 0.5 * (s[:-1] + s[1:])
-    ds = np.diff(s)
-    x_nodes = s_mid ** (-gamma)  # decreasing in j
-
-    nodes, wts = np.polynomial.legendre.leggauss(8)
-
-    def g_at_midpoints(psi) -> np.ndarray:
-        # cumulative int_1^{x_j} psi, built cell-by-cell from the right end
-        values = np.empty(m)
-        values[-1], _ = quad(psi, 1.0, x_nodes[-1], limit=200)
-        lo, hi = x_nodes[1:], x_nodes[:-1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        cells = half * ((psi(mid[:, None] + half[:, None] * nodes[None, :])) @ wts)
-        values[:-1] = values[-1] + np.cumsum(cells[::-1])[::-1]
-        return values
-
-    g1 = g_at_midpoints(psi1)
-    g2 = g_at_midpoints(psi2)
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     r = config.replicates

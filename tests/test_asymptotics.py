@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import factorial
 
@@ -18,6 +19,7 @@ from tailcens import (
     sigma_squared,
     sigma_squared_mc,
 )
+from tailcens.asymptotics import _check_variance_domain, _g_on_grid
 
 # ---------------------------------------------------------------------------
 # independent oracle: psi1/psi2 are finite sums of c * x^e * (log x)^m, so
@@ -100,6 +102,30 @@ def sigma2_oracle(a, g1, g2):
 
 SIGMA_GRID = [(0.1, 0.3, 0.7), (0.3, 0.3, 0.6), (0.5, 0.5, 0.75),
               (1.0, 1.0, 0.6), (0.3, 0.5, 0.7), (0.5, 0.3, 0.55)]
+# (alpha, gamma1, p) points of the benchmark's constants-grid workload
+CONSTANTS_GRID = [(0.5, 0.3, 0.7), (1.0, 0.5, 0.8), (0.3, 0.2, 0.75)]
+
+
+def sigma2_mc_full_matrix(alpha, gamma1, gamma2, config):
+    """sigma_squared_mc with both increment matrices drawn whole."""
+    model = _check_variance_domain(alpha, gamma1, gamma2)
+    ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    r, m = config.replicates, config.grid_points
+    incr1 = rng.standard_normal((r, m)) * np.sqrt(model.p * ds)
+    incr2 = rng.standard_normal((r, m)) * np.sqrt(model.q * ds)
+    part1 = incr1 @ g1 - a_const * incr1.sum(axis=1)
+    part2 = (incr2 @ g2) / gamma1
+    estimate = float((part1 + part2).var(ddof=1))
+    return estimate, float(estimate * np.sqrt(2.0 / (r - 1)))
+
+
+def sigma2_grid_expectation(alpha, gamma1, gamma2, config):
+    """Exact expectation of the Monte Carlo estimate on its own grid."""
+    model = _check_variance_domain(alpha, gamma1, gamma2)
+    ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
+    return (model.p * np.sum((g1 - a_const) ** 2 * ds)
+            + model.q / gamma1 ** 2 * np.sum(g2 ** 2 * ds))
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +280,61 @@ def test_sigma_squared_mc_deterministic_and_scaling():
     big = GaussianOracleConfig(replicates=4000, seed=3)
     _, se_big = sigma_squared_mc(0.3, 0.3, 0.45, big)
     assert se_big == pytest.approx(a[1] / 2, rel=0.2)
+
+
+def test_sigma_squared_mc_one_partial_block_matches_full_matrix():
+    # 1003 replicates fill one partial block, so the arithmetic is the
+    # full-matrix formula's, operation for operation
+    config = GaussianOracleConfig(replicates=1003, grid_points=1000, seed=11)
+    gamma2 = 0.75 * 0.5 / 0.25
+    assert sigma_squared_mc(0.5, 0.5, gamma2, config) == \
+        sigma2_mc_full_matrix(0.5, 0.5, gamma2, config)
+
+
+def test_sigma_squared_mc_many_blocks_match_full_matrix():
+    # eight blocks, the last one partial; a threaded BLAS may sum a leftover
+    # row of either product in another order, so rounding is allowed, while
+    # a block drawn out of order or reduced twice would move the result by
+    # far more than 1e-12
+    config = GaussianOracleConfig(replicates=1003, grid_points=8192, seed=11)
+    gamma2 = 0.75 * 0.5 / 0.25
+    got = sigma_squared_mc(0.5, 0.5, gamma2, config)
+    want = sigma2_mc_full_matrix(0.5, 0.5, gamma2, config)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_sigma_squared_mc_memory_is_bounded():
+    gamma2 = 0.7 * 0.3 / 0.3
+    tracemalloc.start()
+    try:
+        sigma_squared_mc(0.5, 0.3, gamma2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+@pytest.mark.parametrize("config,points", [
+    (GaussianOracleConfig(), CONSTANTS_GRID),
+    # the default grid starts at s_1 = 8192^-6 and misses the mass below it,
+    # which is ~1% of sigma2 at (0.1, 0.3, 0.7) where the integrand decays
+    # slowly; a longer, more graded grid reaches every SIGMA_GRID point
+    (GaussianOracleConfig(grid_points=32768, grade=16.0), CONSTANTS_GRID + SIGMA_GRID),
+], ids=["default-grid", "fine-grid"])
+def test_grid_expectation_matches_sigma_squared(config, points):
+    """The MC estimate's exact mean on its grid against the nested quadrature.
+
+    Cell-wise Gauss-Legendre in x on the graded s-grid is a different
+    discretisation from sigma_squared's nested log-space quadrature, so
+    this is an independent and much tighter check than the MC stderr.
+    """
+    worst = 0.0
+    for alpha, gamma1, p in points:
+        gamma2 = p * gamma1 / (1 - p)
+        exact = sigma_squared(alpha, gamma1, gamma2)
+        grid = sigma2_grid_expectation(alpha, gamma1, gamma2, config)
+        worst = max(worst, abs(grid - exact) / exact)
+    assert worst < 1e-5, f"worst relative gap {worst:.3g}"
 
 
 def test_gaussian_oracle_config_validation():
