@@ -91,6 +91,8 @@ def write_dataset(times: list[float], statuses: list[int], out) -> None:
 
 
 def _k_range(args, n: int) -> list[int]:
+    if args.k_step < 1:
+        raise CliError("--k-step must be >= 1")
     k_max = args.k_max if args.k_max is not None else args.k_min
     ks = list(range(args.k_min, k_max + 1, args.k_step))
     if not ks:
@@ -105,11 +107,13 @@ def cmd_estimate(args) -> int:
     sample = ordered_from_arrays(times, statuses)
     ks = _k_range(args, sample.n)
     alphas = args.alpha if args.alpha else [0.0]
+    # every cell is validated before the header, so a bad argument writes nothing
+    cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
     lo, hi = args.domain
     options = SolverOptions(domain_lo=lo, domain_hi=hi, tol_abs=args.tol)
     out = sys.stdout
     out.write("k,alpha,method,gamma1_hat,residual\n")
-    for k in ks:
+    for k, configs in zip(ks, cells):
         if args.with_competitors:
             for name, fn in (("Hill", hill_gamma), ("EFG", efg_estimator),
                              ("Worms", worms_estimator)):
@@ -117,13 +121,13 @@ def cmd_estimate(args) -> int:
                     out.write(f"{k},,{name},{_fmt(fn(sample, k))},\n")
                 except EstimationError:
                     out.write(f"{k},,{name},,\n")
-        for alpha in alphas:
+        for config in configs:
             try:
-                result = mdpd_estimate(sample, TailConfig(k=k, alpha=alpha), options)
-                out.write(f"{k},{_fmt(alpha)},{result.method},"
+                result = mdpd_estimate(sample, config, options)
+                out.write(f"{k},{_fmt(config.alpha)},{result.method},"
                           f"{_fmt(result.gamma1_hat)},{_fmt(result.residual)}\n")
             except EstimationError:
-                out.write(f"{k},{_fmt(alpha)},MDPD,,\n")
+                out.write(f"{k},{_fmt(config.alpha)},MDPD,,\n")
     return 0
 
 
@@ -214,6 +218,8 @@ def build_sweep_spec(values: dict, replicates_override: int | None = None,
         k_step = int(values.get("k_step", "50"))
     except ValueError as exc:
         raise CliError(f"invalid config value: {exc}") from exc
+    if k_step < 1:
+        raise CliError("invalid config value: k_step must be >= 1")
     if replicates_override is not None:
         replicates = replicates_override
     if seed_override is not None:
@@ -312,10 +318,11 @@ def cmd_constants(args) -> int:
         raise CliError("variance formula requires p > 1/2")
     gamma2 = gamma2_from_p(args.gamma1, args.p)
     try:
-        sigma2 = sigma_squared(args.alpha, args.gamma1, gamma2)
+        # the cheap argument checks run before the quadrature and the MC
         config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)
-        sigma2_mc, stderr = sigma_squared_mc(args.alpha, args.gamma1, gamma2, config)
         mu_value = mu(args.alpha, args.gamma1, args.tau1, check_closed_form=False)
+        sigma2 = sigma_squared(args.alpha, args.gamma1, gamma2)
+        sigma2_mc, stderr = sigma_squared_mc(args.alpha, args.gamma1, gamma2, config)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     sys.stdout.write("alpha,gamma1,gamma2,p,tau1,eta_star,mu,sigma2,sigma2_mc,mc_stderr\n")

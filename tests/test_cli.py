@@ -61,6 +61,27 @@ def test_estimate_k_too_large(tmp_path, capsys):
     assert "sample size" in err
 
 
+def test_estimate_negative_alpha_writes_nothing(tmp_path, capsys):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1)])
+    code, out, err = run_cli(capsys, "estimate", str(f), "--k-min", "1",
+                             "--alpha", "0.5", "--alpha", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: alpha=-1.0 must be >= 0"
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_estimate_k_step_must_be_positive(tmp_path, capsys, step):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1)])
+    code, out, err = run_cli(capsys, "estimate", str(f), "--k-min", "1",
+                             "--k-max", "2", "--k-step", step)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: --k-step must be >= 1"
+
+
 def test_estimate_synthetic_pareto(tmp_path, capsys):
     rng = np.random.default_rng(1)
     z = (1 - rng.random(1000)) ** -0.5  # Pareto, gamma1 = 0.5
@@ -155,6 +176,16 @@ def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
     assert stdout == "" and not out.exists()
 
 
+def test_sweep_config_k_step_must_be_positive(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\nk_step = 0\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out))
+    assert code == 1
+    assert err.strip() == "error: invalid config value: k_step must be >= 1"
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_replicate_one_row_counts(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n"
@@ -205,6 +236,19 @@ def test_constants_p_too_small(capsys):
                            "--p", "0.5")
     assert code == 1
     assert "requires p > 1/2" in err
+
+
+def test_constants_checks_tau1_before_the_variance(capsys, monkeypatch):
+    def heavy(*args, **kwargs):
+        raise AssertionError("variance computed before the arguments were checked")
+
+    monkeypatch.setattr("tailcens.cli.sigma_squared", heavy)
+    monkeypatch.setattr("tailcens.cli.sigma_squared_mc", heavy)
+    code, out, err = run_cli(capsys, "constants", "--alpha", "1", "--gamma1", "1",
+                             "--p", "0.6", "--tau1", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: tau1 must be nonpositive"
 
 
 def test_synth_roundtrips_through_reader(tmp_path, capsys):
