@@ -294,8 +294,8 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     Deterministic given the seed.
 
     The increments are drawn and reduced one block of rows at a time in
-    a single reused buffer of about 8 MB, so memory is O(block * M)
-    whatever the replicate count.
+    a single reused buffer (8 MB for M <= 16384 grid points, 64 rows
+    beyond), so memory is O(block * M) whatever the replicate count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     p, q = model.p, model.q
