@@ -34,7 +34,16 @@ def burr_quantile(u, gamma1: float, eta: float):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise ValueError("u must lie in [0, 1)")
-    out = ((1.0 - u) ** (-gamma1 / eta) - 1.0) ** eta
+    with np.errstate(over="ignore"):
+        out = np.asarray(((1.0 - u) ** (-gamma1 / eta) - 1.0) ** eta)
+    # (1 - u)^(-gamma1/eta) can exceed the float range while the quantile
+    # itself does not; there x = exp(eta * (a + log(1 - e^-a))) with
+    # a = -(gamma1/eta) log(1 - u) stays finite
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        a = -(gamma1 / eta) * np.log1p(-u[overflow])
+        with np.errstate(over="ignore"):
+            out[overflow] = np.exp(eta * (a + np.log(-np.expm1(-a))))
     return float(out) if out.ndim == 0 else out
 
 

@@ -21,7 +21,9 @@ from tailcens import (
 
 
 def burr_cdf(x, gamma1, eta):
-    return 1.0 - (1.0 + x ** (1.0 / eta)) ** (-eta / gamma1)
+    # 1 - (1 + x^(1/eta))^(-eta/gamma1), in logs so that x^(1/eta) may
+    # exceed the float range
+    return -np.expm1(-(eta / gamma1) * np.logaddexp(0.0, np.log(x) / eta))
 
 
 def frechet_cdf(x, gamma2):
