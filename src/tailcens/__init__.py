@@ -13,11 +13,8 @@ from .asymptotics import (
     sigma_squared_mc,
 )
 from .empirical import (
-    empirical_subdistributions,
     kaplan_meier_survival,
     mdpd_weights,
-    na_tail_ratio,
-    nelson_aalen_survival,
 )
 from .estimators import (
     EstimateResult,
@@ -29,13 +26,11 @@ from .estimators import (
     efg_estimator,
     hill_gamma,
     mdpd_estimate,
-    mdpd_objective,
     mdpd_residual,
     mns_estimator,
     worms_estimator,
 )
 from .sample_model import (
-    CensoredObservation,
     InvalidSampleError,
     ModelParams,
     OrderedSample,
@@ -60,13 +55,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticConstants", "GaussianOracleConfig", "asymptotic_ci", "eta_star",
     "mu", "mu_closed_form", "phi", "phi_star", "sigma_squared", "sigma_squared_mc",
-    "empirical_subdistributions", "kaplan_meier_survival", "mdpd_weights",
-    "na_tail_ratio", "nelson_aalen_survival",
+    "kaplan_meier_survival", "mdpd_weights",
     "EstimateResult", "EstimationError", "MdpdWindow", "NoRootError", "SolverOptions",
     "censored_proportion", "efg_estimator", "hill_gamma", "mdpd_estimate",
-    "mdpd_objective", "mdpd_residual", "mns_estimator", "worms_estimator",
-    "CensoredObservation", "InvalidSampleError", "ModelParams", "OrderedSample",
-    "TailConfig", "order_sample", "ordered_from_arrays", "top_log_excesses",
+    "mdpd_residual", "mns_estimator", "worms_estimator",
+    "InvalidSampleError", "ModelParams", "OrderedSample", "TailConfig",
+    "order_sample", "ordered_from_arrays", "top_log_excesses",
     "ContaminationSpec", "SweepResult", "SweepSpec", "burr_quantile",
     "frechet_quantile", "gamma2_from_p", "run_sweep", "sample_contaminated_censored",
 ]

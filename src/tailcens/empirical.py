@@ -1,14 +1,12 @@
 """Product-limit estimators and the tail weight sequence.
 
-Kaplan-Meier and Nelson-Aalen survival estimators, the empirical
-(sub-)distribution functions of the observed times, and the random weight
-sequence a_ik that drives the Nelson-Aalen-integrated tail estimators.
+The Kaplan-Meier survival estimator and the random weight sequence a_ik
+that drives the Nelson-Aalen-integrated tail estimators.
 
 Conventions: the Kaplan-Meier product runs over order statistics <= x
-(right-continuous), the Nelson-Aalen product over order statistics
-strictly < z.  Ratios of Nelson-Aalen survivals at order statistics are
-always computed through the closed-form product :func:`na_tail_ratio`,
-never by dividing pointwise evaluations at jump locations.
+(right-continuous).  The weights use the closed-form product of
+Nelson-Aalen survival ratios at order statistics, never a quotient of
+pointwise evaluations at jump locations.
 """
 
 from __future__ import annotations
@@ -34,38 +32,6 @@ def kaplan_meier_survival(sample: OrderedSample, x: float) -> float:
     return float(np.prod(factors))
 
 
-def nelson_aalen_survival(sample: OrderedSample, z: float) -> float:
-    """Nelson-Aalen estimate of the lifetime survival function at z.
-
-    exp(-sum of delta/(n-i+1) over order statistics strictly below z);
-    always strictly positive.
-    """
-    n = sample.n
-    m = int(np.searchsorted(sample.z_sorted, z, side="left"))
-    if m == 0:
-        return 1.0
-    i = np.arange(1, m + 1)
-    hazard = np.sum(sample.delta_concomitant[:m] / (n - i + 1.0))
-    return float(np.exp(-hazard))
-
-
-def na_tail_ratio(sample: OrderedSample, k: int, i: int) -> float:
-    """Ratio of Nelson-Aalen survivals at the i-th largest vs the threshold.
-
-    Closed form prod_{j=i+1}^{k} exp(-delta_{[n-j+1:n]}/j); equals
-    F_bar_NA(Z_{n-i+1:n}) / F_bar_NA(Z_{n-k:n}) without ever forming the
-    quotient.  Value in (0, 1].
-    """
-    n = sample.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range for sample size n={n}")
-    if not 1 <= i <= k:
-        raise ValueError(f"i={i} out of range for k={k}")
-    j = np.arange(i + 1, k + 1)
-    deltas = sample.delta_concomitant[n - j]  # delta_{[n-j+1:n]}
-    return float(np.exp(-np.sum(deltas / j)))
-
-
 def mdpd_weights(sample: OrderedSample, k: int) -> np.ndarray:
     """Random weight sequence a_ik for the top-k window.
 
@@ -83,16 +49,3 @@ def mdpd_weights(sample: OrderedSample, k: int) -> np.ndarray:
     ratios = deltas / i
     tail = np.concatenate([np.cumsum(ratios[::-1])[::-1][1:], [0.0]])
     return (deltas / i) * np.exp(-tail)
-
-
-def empirical_subdistributions(sample: OrderedSample, x: float) -> tuple[float, float]:
-    """Empirical cdf of Z and sub-distribution of uncensored Z at x.
-
-    Returns (Hn, Hn1) with Hn(x) = #{Z <= x}/n and
-    Hn1(x) = #{Z <= x, delta = 1}/n.
-    """
-    n = sample.n
-    m = int(np.searchsorted(sample.z_sorted, x, side="right"))
-    hn = m / n
-    hn1 = float(np.sum(sample.delta_concomitant[:m])) / n
-    return hn, hn1

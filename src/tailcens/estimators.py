@@ -136,26 +136,6 @@ def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> f
     return MdpdWindow(sample, config.k).residual(gamma1, config.alpha)
 
 
-def mdpd_objective(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
-    """Empirical density power divergence objective at gamma1 (alpha > 0).
-
-    Model term gamma1^{-alpha} / (1 + alpha + alpha*gamma1) minus the
-    weighted empirical term (1 + 1/alpha) sum_i a_ik l_gamma1^alpha(r_i).
-    The MDPD root is a stationary point of this surface.
-    """
-    if gamma1 <= 0:
-        raise ValueError(f"gamma1={gamma1} must be > 0")
-    alpha = config.alpha
-    if alpha <= 0:
-        raise ValueError("mdpd_objective requires alpha > 0")
-    config.check_against(sample.n)
-    weights = mdpd_weights(sample, config.k)
-    log_exc, _ = top_log_excesses(sample, config.k)
-    model = gamma1 ** (-alpha) / (1.0 + alpha + alpha * gamma1)
-    density_pow = gamma1 ** (-alpha) * np.exp(-alpha * (1.0 + 1.0 / gamma1) * log_exc)
-    return model - (1.0 + 1.0 / alpha) * float(np.dot(weights, density_pow))
-
-
 class MdpdWindow:
     """The top-k window of one sample, shared by the MDPD solves at every alpha.
 

@@ -1,40 +1,23 @@
 """Core data types for right-censored samples and their order statistics.
 
-A censored observation is a pair (z, delta): z is the observed time
-(minimum of the lifetime and an independent censoring time) and delta
-indicates whether the lifetime itself was observed (delta = 1) or the
-censoring time (delta = 0).  Every estimator in this package operates on
-an :class:`OrderedSample`, i.e. the z values sorted increasingly with the
-censoring indicators carried along as concomitants.
+A censored sample is a pair of parallel arrays (z, delta): z holds the
+observed times (minimum of the lifetime and an independent censoring
+time) and delta indicates whether the lifetime itself was observed
+(delta = 1) or the censoring time (delta = 0).  Every estimator in this
+package operates on an :class:`OrderedSample`, i.e. the z values sorted
+increasingly with the censoring indicators carried along as concomitants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 class InvalidSampleError(ValueError):
     """Raised when input observations violate the sample contract."""
-
-
-@dataclass(frozen=True)
-class CensoredObservation:
-    """One observed time with its censoring indicator.
-
-    z must be strictly positive, delta must be 0 or 1.
-    """
-
-    z: float
-    delta: int
-
-    def __post_init__(self):
-        if not (self.z > 0):
-            raise InvalidSampleError(f"invalid observation: z={self.z} must be > 0")
-        if self.delta not in (0, 1):
-            raise InvalidSampleError(f"invalid observation: delta={self.delta} must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -51,17 +34,18 @@ class OrderedSample:
 
     def __post_init__(self):
         z = np.asarray(self.z_sorted, dtype=float)
-        d = np.asarray(self.delta_concomitant, dtype=np.int8)
-        if z.ndim != 1 or d.ndim != 1 or z.size != d.size:
-            raise InvalidSampleError("z_sorted and delta_concomitant must be 1-d and equal length")
+        d = np.asarray(self.delta_concomitant)
+        _check_shapes(z, d)
         if z.size == 0:
             raise InvalidSampleError("empty sample")
         if np.any(z <= 0) or not np.all(np.isfinite(z)):
             raise InvalidSampleError("invalid observation: all z must be positive and finite")
         if np.any(np.diff(z) < 0):
             raise InvalidSampleError("z_sorted must be nondecreasing")
-        if not np.isin(d, (0, 1)).all():
+        # checked before the int8 cast, which would turn 1.5 into 1
+        if not np.all((d == 0) | (d == 1)):
             raise InvalidSampleError("delta values must be 0 or 1")
+        d = d.astype(np.int8, copy=False)
         z.flags.writeable = False
         d.flags.writeable = False
         object.__setattr__(self, "z_sorted", z)
@@ -126,24 +110,28 @@ class ModelParams:
         return self.gamma1 * self.gamma2 / (self.gamma1 + self.gamma2)
 
 
-def order_sample(observations: Iterable[CensoredObservation]) -> OrderedSample:
-    """Sort observations by z (stable in input order) carrying deltas as concomitants."""
-    obs = list(observations)
-    if not obs:
-        raise InvalidSampleError("empty sample")
-    z = np.array([o.z for o in obs], dtype=float)
-    d = np.array([o.delta for o in obs], dtype=np.int8)
-    return ordered_from_arrays(z, d)
+def _check_shapes(z: np.ndarray, d: np.ndarray) -> None:
+    if z.ndim != 1 or d.ndim != 1 or z.size != d.size:
+        raise InvalidSampleError("z and delta must be 1-d and of equal length")
+
+
+def order_sample(observed: tuple[Sequence[float], Sequence[int]]) -> OrderedSample:
+    """Sort a (z, delta) pair of parallel arrays by z, as ordered_from_arrays does."""
+    z, delta = observed
+    return ordered_from_arrays(z, delta)
 
 
 def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSample:
-    """Build an OrderedSample from parallel arrays of times and indicators."""
+    """Build an OrderedSample from parallel arrays of times and indicators.
+
+    The sort is stable, so tied times keep their input order.  The sample
+    contract is checked by :class:`OrderedSample`; only the shapes are
+    checked here, because indexing a longer delta with the sort order
+    would silently drop its extra entries.
+    """
     z = np.asarray(z, dtype=float)
     d = np.asarray(delta)
-    if z.size == 0:
-        raise InvalidSampleError("empty sample")
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise InvalidSampleError("invalid observation: all z must be positive and finite")
+    _check_shapes(z, d)
     idx = np.argsort(z, kind="stable")
     return OrderedSample(z[idx], d[idx])
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import EstimationError, MdpdWindow
-from .sample_model import CensoredObservation, ModelParams, ordered_from_arrays
+from .sample_model import ModelParams, ordered_from_arrays
 
 # Contiguous replicate ranges handed to each worker process: more than one
 # per worker, so a worker that finishes early picks up another range.
@@ -113,18 +113,20 @@ def sample_contaminated_censored(n: int, model: ModelParams,
                                  return_latent: bool = False):
     """Draw n censored observations from the contaminated model.
 
+    Returns the pair (z, delta) of float64 times and int8 indicators in
+    draw order; ``order_sample`` turns it into an OrderedSample.
     Deterministic for fixed (seed, replicate).  With ``return_latent`` the
-    underlying lifetime and censoring draws are also returned (test
-    instrumentation for the delta = 1{X <= C} identity).
+    result is ((z, delta), x, c) with the underlying lifetime and
+    censoring draws (test instrumentation for the delta = 1{X <= C}
+    identity).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _replicate_rng(seed, replicate)
     x, c, z, delta = _draw_arrays(n, model, contamination, rng)
-    observations = [CensoredObservation(float(zi), int(di)) for zi, di in zip(z, delta)]
     if return_latent:
-        return observations, x, c
-    return observations
+        return (z, delta), x, c
+    return z, delta
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,7 @@ def test_criterion_9_outlier_injection_stability():
     robust estimate while swinging the non-robust one."""
     n = 2754
     model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7))
-    obs = sample_contaminated_censored(n, model, ContaminationSpec(), seed=42)
-    z = np.array([o.z for o in obs])
-    delta = np.array([o.delta for o in obs])
+    z, delta = sample_contaminated_censored(n, model, ContaminationSpec(), seed=42)
 
     uncensored = np.flatnonzero(delta == 1)
     top10 = uncensored[np.argsort(z[uncensored])[-10:]]  # ascending

@@ -292,3 +292,69 @@ def test_estimate_csv_roundtrip(tmp_path, capsys):
         float(cells[0])
         if cells[3]:
             float(cells[3])
+
+
+@pytest.mark.parametrize("command", [["contaminate"], ["estimate", "--k-min", "1"]])
+@pytest.mark.parametrize("time", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_time_is_an_invalid_observation(tmp_path, capsys, command, time):
+    f = tmp_path / "d.csv"
+    f.write_text(f"time,status\n1.0,1\n2.0,0\n{time},1\n3.0,1\n")
+    code, out, err = run_cli(capsys, command[0], str(f), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert "invalid observation at line 4" in err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan", "1e308"])
+def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, scale):
+    out = tmp_path / "s.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--n", "50", "--gamma1", "0.5", "--p", "0.7",
+                                "--scale", scale, "--output", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and "--scale" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--n", "0", "--gamma1", "0.5", "--p", "0.7"], "--n must be >= 1"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "1.5"], "p=1.5 must lie in (0, 1)"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7", "--epsilon", "1"],
+     "epsilon=1.0 must lie in [0, 1)"),
+    (["estimate", "DATA", "--k-min", "0"], "k=0 must be >= 1"),
+    (["estimate", "DATA", "--k-min", "1", "--domain", "0", "5"],
+     "--domain bounds must be positive and finite"),
+])
+def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1)])
+    argv = [str(f) if a == "DATA" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_internal_value_error_exits_2(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("solver state corrupted")
+
+    monkeypatch.setattr("tailcens.cli.mdpd_estimate", broken)
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1)])
+    code, _, err = run_cli(capsys, "estimate", str(f), "--k-min", "1", "--alpha", "0.5")
+    assert code == 2
+    assert err.strip() == "internal error: solver state corrupted"
+
+
+@pytest.mark.parametrize("argv", [["estimate", "BAD", "--k-min", "1"],
+                                  ["contaminate", "DATA", "--table", "BAD"],
+                                  ["sweep", "BAD", "--output-dir", "OUT"]])
+def test_undecodable_input_is_a_user_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"time,status\n1.0,1\n\xff\xfe,0\n")
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1)])
+    paths = {"BAD": str(bad), "DATA": str(f), "OUT": str(tmp_path / "o")}
+    code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 1
+    assert err.startswith(f"error: cannot read {bad}")

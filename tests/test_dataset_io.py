@@ -1,0 +1,136 @@
+"""Parity of the bulk dataset reader and writer with the line-by-line versions."""
+
+import io
+
+import numpy as np
+import pytest
+
+from tailcens import cli
+from tailcens.cli import CliError, _fmt, main, read_dataset, write_dataset
+
+
+def reference_read_dataset(path: str) -> tuple[list[float], list[int]]:
+    """The line-loop parser the bulk reader replaced, with the finite-time rule."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != "time,status":
+        raise CliError(f'{path}: missing header "time,status"')
+    times: list[float] = []
+    statuses: list[int] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CliError(f"{path}: malformed row at line {lineno}")
+        try:
+            t = float(parts[0])
+            s = int(parts[1])
+        except ValueError as exc:
+            raise CliError(f"{path}: malformed row at line {lineno}") from exc
+        if not (t > 0) or t == float("inf") or s not in (0, 1):
+            raise CliError(f"{path}: invalid observation at line {lineno}")
+        times.append(t)
+        statuses.append(s)
+    if not times:
+        raise CliError(f"{path}: empty dataset")
+    return times, statuses
+
+
+def reference_write_dataset(times: list[float], statuses: list[int], out) -> None:
+    """The per-row writer the single-write version replaced."""
+    out.write("time,status\n")
+    for t, s in zip(times, statuses):
+        out.write(f"{_fmt(t)},{s}\n")
+
+
+CORPUS = {
+    "plain": "time,status\n1.5,1\n2,0\n",
+    "no final newline": "time,status\n1.5,1\n2,0",
+    "exponents": "time,status\n1e3,0\n2.5E-4,1\n.5,1\n7.,0\n",
+    "blank lines": "time,status\n\n1.5,1\n\n\n2,0\n\n",
+    "whitespace line": "time,status\n1.5,1\n   \n2,0\n",
+    "crlf": "time,status\r\n1.5,1\r\n2,0\r\n",
+    "lone cr": "time,status\r1.5,1\r2,0\r",
+    "surrounding spaces": "time,status\n 1.5 , 1 \n\t2,\t0\n",
+    "plus status": "time,status\n1.5,+1\n2,-0\n",
+    "float status": "time,status\n1.5,1.0\n",
+    "underscore time": "time,status\n1_0,1\n2,0\n",
+    "underscore status": "time,status\n10,1_0\n",
+    "comment": "time,status\n# note\n1.5,1\n",
+    "one column": "time,status\n1.5,1\n2.5\n",
+    "three columns": "time,status\n1.5,1,7\n",
+    "trailing comma": "time,status\n1.5,1,\n2,0,\n",
+    "empty field": "time,status\n1.5,\n",
+    "nan": "time,status\n1,1\nnan,1\n",
+    "inf": "time,status\n1,1\ninf,0\n",
+    "overflowing time": "time,status\n1,1\n1e400,0\n",
+    "zero": "time,status\n0,1\n",
+    "underflowing time": "time,status\n1e-400,1\n",
+    "negative": "time,status\n1,1\n-2.5,1\n",
+    "status 2": "time,status\n1,1\n3,2\n",
+    "status 257": "time,status\n1,257\n",
+    "header only": "time,status\n",
+    "header and blank lines": "time,status\n\n  \n",
+    "header with spaces": " time,status \n1.5,1\n",
+    "wrong header": "t,s\n1.5,1\n",
+    "empty file": "",
+    "form feed inside a row": "time,status\n1.5,1\x0c2,0\n",
+    "form feed ending a row": "time,status\n1.5,1\x0c\n2,0\n",
+    "unit separator": "time,status\n\x1f1.5,1\n",
+    "line separator": "time,status\n1.5\u2028,1\n",
+    "no-break space": "time,status\n1.5\xa0,1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_read_dataset_matches_the_line_parser(tmp_path, name):
+    path = tmp_path / "d.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    try:
+        want = reference_read_dataset(str(path))
+    except CliError as exc:
+        with pytest.raises(CliError) as got:
+            read_dataset(str(path))
+        assert str(got.value) == str(exc)
+        return
+    times, statuses = read_dataset(str(path))
+    assert times.dtype == np.float64 and statuses.dtype == np.int8
+    assert times.tolist() == want[0]
+    assert statuses.tolist() == want[1]
+
+
+@pytest.mark.parametrize("name", ["plain", "no final newline", "exponents", "blank lines",
+                                  "crlf", "lone cr", "surrounding spaces", "plus status"])
+def test_clean_files_are_parsed_in_bulk(tmp_path, monkeypatch, name):
+    def scan(*args):
+        raise AssertionError("the line scan ran on a clean file")
+
+    monkeypatch.setattr(cli, "_scan_dataset", scan)
+    path = tmp_path / "d.csv"
+    path.write_bytes(CORPUS[name].encode("utf-8"))
+    times, _ = read_dataset(str(path))
+    assert times.size >= 1
+
+
+def test_write_dataset_is_byte_identical_to_the_row_writer():
+    rng = np.random.default_rng(3)
+    times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 10_000))
+    times[:8] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5,
+                 0.1, 1.0, 123456789012.5, 1e21]
+    statuses = (rng.random(10_000) < 0.6).astype(np.int8)
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset(times, statuses, got)
+    reference_write_dataset(times.tolist(), statuses.tolist(), want)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_contaminate_breaks_ties_in_file_order(tmp_path, capsys):
+    f = tmp_path / "d.csv"
+    f.write_text("time,status\n5,1\n9,1\n9,0\n9,1\n3,1\n9,1\n")
+    table = tmp_path / "t.csv"
+    table.write_text("9,100\n9,200\n")
+    assert main(["contaminate", str(f), "--table", str(table)]) == 0
+    # of the three tied uncensored 9s, the first two in the file are replaced,
+    # the larger replacement going to the first
+    assert capsys.readouterr().out == "time,status\n5,1\n200,1\n9,0\n100,1\n3,1\n9,1\n"

@@ -2,14 +2,58 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailcens import (
-    empirical_subdistributions,
-    kaplan_meier_survival,
-    mdpd_weights,
-    na_tail_ratio,
-    nelson_aalen_survival,
-    ordered_from_arrays,
-)
+from tailcens import OrderedSample, kaplan_meier_survival, mdpd_weights, ordered_from_arrays
+
+
+# Oracles: pointwise Nelson-Aalen survival, the closed-form survival ratio
+# one weight at a time, and the empirical (sub-)distributions.  The library
+# needs none of them; the tests check mdpd_weights and the KM estimator
+# against them.  The Nelson-Aalen product runs over order statistics
+# strictly below z.
+def nelson_aalen_survival(sample: OrderedSample, z: float) -> float:
+    """Nelson-Aalen estimate of the lifetime survival function at z.
+
+    exp(-sum of delta/(n-i+1) over order statistics strictly below z);
+    always strictly positive.
+    """
+    n = sample.n
+    m = int(np.searchsorted(sample.z_sorted, z, side="left"))
+    if m == 0:
+        return 1.0
+    i = np.arange(1, m + 1)
+    hazard = np.sum(sample.delta_concomitant[:m] / (n - i + 1.0))
+    return float(np.exp(-hazard))
+
+
+def na_tail_ratio(sample: OrderedSample, k: int, i: int) -> float:
+    """Ratio of Nelson-Aalen survivals at the i-th largest vs the threshold.
+
+    Closed form prod_{j=i+1}^{k} exp(-delta_{[n-j+1:n]}/j); equals
+    F_bar_NA(Z_{n-i+1:n}) / F_bar_NA(Z_{n-k:n}) without ever forming the
+    quotient.  Value in (0, 1].
+    """
+    n = sample.n
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k={k} out of range for sample size n={n}")
+    if not 1 <= i <= k:
+        raise ValueError(f"i={i} out of range for k={k}")
+    j = np.arange(i + 1, k + 1)
+    deltas = sample.delta_concomitant[n - j]  # delta_{[n-j+1:n]}
+    return float(np.exp(-np.sum(deltas / j)))
+
+
+def empirical_subdistributions(sample: OrderedSample, x: float) -> tuple[float, float]:
+    """Empirical cdf of Z and sub-distribution of uncensored Z at x.
+
+    Returns (Hn, Hn1) with Hn(x) = #{Z <= x}/n and
+    Hn1(x) = #{Z <= x, delta = 1}/n.
+    """
+    n = sample.n
+    m = int(np.searchsorted(sample.z_sorted, x, side="right"))
+    hn = m / n
+    hn1 = float(np.sum(sample.delta_concomitant[:m])) / n
+    return hn, hn1
+
 
 censored_samples = st.lists(
     st.tuples(st.floats(min_value=0.01, max_value=1e5),

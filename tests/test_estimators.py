@@ -7,13 +7,13 @@ from tailcens import (
     EstimationError,
     MdpdWindow,
     NoRootError,
+    OrderedSample,
     SolverOptions,
     TailConfig,
     censored_proportion,
     efg_estimator,
     hill_gamma,
     mdpd_estimate,
-    mdpd_objective,
     mdpd_residual,
     mdpd_weights,
     mns_estimator,
@@ -21,6 +21,27 @@ from tailcens import (
     top_log_excesses,
     worms_estimator,
 )
+
+
+# oracle: the DPD surface whose stationary point the MDPD root must be
+def mdpd_objective(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
+    """Empirical density power divergence objective at gamma1 (alpha > 0).
+
+    Model term gamma1^{-alpha} / (1 + alpha + alpha*gamma1) minus the
+    weighted empirical term (1 + 1/alpha) sum_i a_ik l_gamma1^alpha(r_i).
+    The MDPD root is a stationary point of this surface.
+    """
+    if gamma1 <= 0:
+        raise ValueError(f"gamma1={gamma1} must be > 0")
+    alpha = config.alpha
+    if alpha <= 0:
+        raise ValueError("mdpd_objective requires alpha > 0")
+    config.check_against(sample.n)
+    weights = mdpd_weights(sample, config.k)
+    log_exc, _ = top_log_excesses(sample, config.k)
+    model = gamma1 ** (-alpha) / (1.0 + alpha + alpha * gamma1)
+    density_pow = gamma1 ** (-alpha) * np.exp(-alpha * (1.0 + 1.0 / gamma1) * log_exc)
+    return model - (1.0 + 1.0 / alpha) * float(np.dot(weights, density_pow))
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tailcens import (
-    CensoredObservation,
     InvalidSampleError,
     ModelParams,
     OrderedSample,
@@ -15,37 +14,36 @@ from tailcens import (
 
 
 def test_observation_validation():
-    CensoredObservation(1.0, 1)
+    order_sample(([1.0], [1]))
     with pytest.raises(InvalidSampleError):
-        CensoredObservation(0.0, 1)
+        order_sample(([0.0], [1]))
     with pytest.raises(InvalidSampleError):
-        CensoredObservation(-1.0, 0)
+        order_sample(([-1.0], [0]))
     with pytest.raises(InvalidSampleError):
-        CensoredObservation(1.0, 2)
+        order_sample(([1.0], [2]))
 
 
 def test_order_sample_basic():
-    s = order_sample([CensoredObservation(3, 1), CensoredObservation(1, 0),
-                      CensoredObservation(2, 1)])
+    s = order_sample(([3, 1, 2], [1, 0, 1]))
     assert s.z_sorted.tolist() == [1, 2, 3]
     assert s.delta_concomitant.tolist() == [0, 1, 1]
 
 
 def test_order_sample_singleton():
-    s = order_sample([CensoredObservation(5, 1)])
+    s = order_sample(([5], [1]))
     assert s.z_sorted.tolist() == [5]
     assert s.delta_concomitant.tolist() == [1]
 
 
 def test_order_sample_stable_ties():
-    s = order_sample([CensoredObservation(2, 1), CensoredObservation(2, 0)])
+    s = order_sample(([2, 2], [1, 0]))
     assert s.z_sorted.tolist() == [2, 2]
     assert s.delta_concomitant.tolist() == [1, 0]
 
 
 def test_order_sample_empty():
     with pytest.raises(InvalidSampleError, match="empty sample"):
-        order_sample([])
+        order_sample(([], []))
     with pytest.raises(InvalidSampleError, match="empty sample"):
         ordered_from_arrays([], [])
 
@@ -59,6 +57,22 @@ def test_ordered_from_arrays_invalid():
         OrderedSample(np.array([2.0, 1.0]), np.array([1, 1]))
     with pytest.raises(InvalidSampleError):
         OrderedSample(np.array([1.0, 2.0]), np.array([1, 3]))
+
+
+def test_ordered_from_arrays_rejects_a_delta_of_another_length():
+    # indexing by the sort order would drop the third indicator silently
+    with pytest.raises(InvalidSampleError, match="equal length"):
+        ordered_from_arrays([1.0, 2.0], [1, 0, 1])
+    with pytest.raises(InvalidSampleError, match="equal length"):
+        ordered_from_arrays([1.0, 2.0, 3.0], [1, 0])
+
+
+def test_ordered_from_arrays_rejects_a_fractional_delta():
+    # the int8 cast would turn 1.5 into 1
+    with pytest.raises(InvalidSampleError, match="delta values must be 0 or 1"):
+        ordered_from_arrays([1.0, 2.0, 3.0], [1.5, 0, 1])
+    with pytest.raises(InvalidSampleError, match="delta values must be 0 or 1"):
+        OrderedSample(np.array([1.0, 2.0]), np.array([0.0, 0.5]))
 
 
 def test_arrays_read_only():
@@ -115,8 +129,7 @@ def test_model_params_derived():
                           st.integers(min_value=0, max_value=1)),
                 min_size=1, max_size=50))
 def test_order_sample_idempotent(pairs):
-    obs = [CensoredObservation(z, d) for z, d in pairs]
-    once = order_sample(obs)
+    once = order_sample(tuple(zip(*pairs)))
     twice = ordered_from_arrays(once.z_sorted, once.delta_concomitant)
     np.testing.assert_array_equal(once.z_sorted, twice.z_sorted)
     np.testing.assert_array_equal(once.delta_concomitant, twice.delta_concomitant)
@@ -127,10 +140,9 @@ def test_order_sample_idempotent(pairs):
                 min_size=2, max_size=30, unique_by=lambda p: p[0]),
        st.randoms())
 def test_permutation_invariance(pairs, rnd):
-    obs = [CensoredObservation(z, d) for z, d in pairs]
-    shuffled = list(obs)
+    shuffled = list(pairs)
     rnd.shuffle(shuffled)
-    a, b = order_sample(obs), order_sample(shuffled)
+    a, b = order_sample(tuple(zip(*pairs))), order_sample(tuple(zip(*shuffled)))
     np.testing.assert_array_equal(a.z_sorted, b.z_sorted)
     np.testing.assert_array_equal(a.delta_concomitant, b.delta_concomitant)
 
