@@ -291,7 +291,7 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     singularity at s = 0, so a uniform grid underestimates badly), forms
     the limiting stochastic integrals and returns the empirical variance
     of their sum together with its Monte Carlo standard error.
-    Deterministic given the seed.
+    Deterministic given the seed, for a fixed BLAS thread count.
 
     The increments are drawn and reduced one block of rows at a time in
     a single reused buffer (8 MB for M <= 16384 grid points, 64 rows

@@ -162,13 +162,14 @@ def cmd_estimate(args) -> int:
     sample = ordered_from_arrays(times, statuses)
     ks = _k_range(args, sample.n)
     alphas = args.alpha if args.alpha else [0.0]
-    # every cell is validated before the header, so a bad argument writes nothing
-    with _argument_errors():
-        cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
     lo, hi = args.domain
     if not (0 < lo < np.inf and 0 < hi < np.inf):
         raise CliError("--domain bounds must be positive and finite")
-    options = SolverOptions(domain_lo=lo, domain_hi=hi, tol_abs=args.tol)
+    # every cell and the solver options are validated before the header, so
+    # a bad argument writes nothing
+    with _argument_errors():
+        cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
+        options = SolverOptions(domain_lo=lo, domain_hi=hi, tol_abs=args.tol)
     out = sys.stdout
     out.write("k,alpha,method,gamma1_hat,residual\n")
     for k, configs in zip(ks, cells):

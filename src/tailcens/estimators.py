@@ -22,6 +22,9 @@ from scipy.optimize import brentq
 from .empirical import kaplan_meier_survival, mdpd_weights
 from .sample_model import OrderedSample, TailConfig, top_log_excesses
 
+# grid rows that MdpdWindow.gamma1_hat scans around the MNS reference
+LOCAL_ROWS = 16
+
 
 class EstimationError(ValueError):
     """Raised when an estimator is undefined for the given window."""
@@ -49,6 +52,16 @@ class SolverOptions:
     grid_points: int = 200
     tol_abs: float = 1e-10
     max_iter: int = 200
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol_abs) and self.tol_abs > 0):
+            raise ValueError(f"tol_abs={self.tol_abs} must be finite and > 0")
+        if self.domain_lo == self.domain_hi:
+            raise ValueError(f"domain bounds must differ, got {self.domain_lo} twice")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points={self.grid_points} must be >= 2")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter} must be >= 1")
 
     @cached_property
     def grid(self) -> np.ndarray:
@@ -166,6 +179,16 @@ class MdpdWindow:
         return self.weights * -self.log_exc
 
     @cached_property
+    def _local(self) -> np.ndarray:
+        """Scratch buffer of the local scan's powers."""
+        return np.empty((LOCAL_ROWS, self.k))
+
+    @cached_property
+    def _abs_terms(self) -> np.ndarray:
+        """Columns |a_ik * L_i| and a_ik (>= 0): the magnitudes the rounding guard sums."""
+        return np.column_stack((np.abs(self._weighted_neg_log), self.weights))
+
+    @cached_property
     def reference(self) -> float:
         """MNS estimate of the window, which is also the alpha = 0 solution."""
         return mns_estimator(self.sample, self.k)
@@ -235,6 +258,71 @@ class MdpdWindow:
             gamma1_hat=best[0], method="MDPD", alpha=alpha, k=k,
             residual=best[1], iterations=best[3], bracket=best[2],
             all_roots=tuple(r[0] for r in roots))
+
+    def gamma1_hat(self, alpha: float, options: SolverOptions = SolverOptions()) -> float:
+        """``self.estimate(alpha, options).gamma1_hat``, found by a local scan where it can.
+
+        Raises what :meth:`estimate` raises.  The scan covers the
+        ``LOCAL_ROWS`` grid rows around the MNS reference; when it cannot
+        prove that its nearest root is the full scan's, the full scan runs.
+        """
+        root = self._local_root(alpha, options)
+        return self.estimate(alpha, options).gamma1_hat if root is None else root
+
+    def _local_root(self, alpha: float, options: SolverOptions) -> float | None:
+        """The full scan's nearest root from LOCAL_ROWS grid rows, or None if unproven.
+
+        The rows are the window around ``searchsorted(grid, reference)``,
+        clipped at the grid ends.  Their sign changes are refined exactly
+        as in :meth:`estimate`, and the nearest root that meets the
+        tolerance (the first of equals, as ``min`` picks) is returned only
+        if it is strictly closer to the reference than both window edges;
+        an edge on a grid end counts as infinitely far.  Any root outside
+        the window lies beyond an edge, so it cannot be nearer.
+        """
+        grid = options.grid
+        if alpha == 0.0 or grid.size < LOCAL_ROWS or not grid[0] < grid[-1]:
+            return None
+        reference = self.reference
+        lo = min(max(int(np.searchsorted(grid, reference)) - LOCAL_ROWS // 2, 0),
+                 grid.size - LOCAL_ROWS)
+        hi = lo + LOCAL_ROWS
+        g = grid[lo:hi]
+        powers = self._local
+        values = self._residuals(g, alpha, powers)
+        # Rounding guard.  A residual is v = S1 + g*S2 - m with
+        # S1 = sum_i p_i a_i (-L_i), S2 = sum_i p_i a_i and m the model
+        # term.  p_i = exp(expo L_i) and m are elementwise, so they are the
+        # same in the full scan; only the BLAS order of the two k-term sums
+        # differs.  A k-term dot product in any order is within
+        # gamma_k * sum |terms| of exact (Higham, "Accuracy and Stability of
+        # Numerical Algorithms", 3.1), gamma_k = k u / (1 - k u), u = eps/2;
+        # the product by g, the addition and the subtraction of m add three
+        # roundings.  Two evaluation orders thus differ by at most
+        # 2 gamma_{k+3} T < 4 k eps T, T = sum |p a L| + g sum p a + |m|,
+        # for k >= 2; at k = 1 both compute the same single products.  A
+        # value above the bound has the full scan's sign and is not an
+        # exact zero there, so the local sign changes are the full scan's
+        # inside the window.  NaN fails the test and falls back too.
+        sums = powers @ self._abs_terms  # powers holds p_i after _residuals
+        model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
+        scale = sums[:, 0] + g * sums[:, 1] + np.abs(model)
+        if not np.all(np.abs(values) > (4 * self.k * np.finfo(float).eps) * scale):
+            return None
+
+        best, best_distance = None, np.inf
+        for j in np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:])):
+            root, _ = brentq(self.residual, float(g[j]), float(g[j + 1]), args=(alpha,),
+                             xtol=1e-14, rtol=8.9e-16, maxiter=options.max_iter,
+                             full_output=True)
+            distance = abs(root - reference)
+            if abs(self.residual(root, alpha)) <= options.tol_abs and distance < best_distance:
+                best, best_distance = root, distance
+        lower_edge = abs(reference - g[0]) if lo > 0 else np.inf
+        upper_edge = abs(g[-1] - reference) if hi < grid.size else np.inf
+        if best_distance < min(lower_edge, upper_edge):
+            return best
+        return None
 
 
 def mdpd_estimate(sample: OrderedSample, config: TailConfig,

@@ -162,7 +162,12 @@ class SweepResult:
 
 
 def _replicate_estimates(spec: SweepSpec, replicate: int) -> np.ndarray:
-    """gamma1_hat for every (k, alpha) cell of one replicate; NaN on failure."""
+    """gamma1_hat for every (k, alpha) cell of one replicate; NaN on failure.
+
+    Each cell is ``MdpdWindow.gamma1_hat``: the local root scan around the
+    MNS reference, with the full scan as its fallback, so every value is
+    bit-identical to ``MdpdWindow.estimate(alpha).gamma1_hat``.
+    """
     rng = _replicate_rng(spec.seed, replicate)
     _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination, rng)
     sample = ordered_from_arrays(z, delta)
@@ -171,7 +176,7 @@ def _replicate_estimates(spec: SweepSpec, replicate: int) -> np.ndarray:
         window = MdpdWindow(sample, k)
         for ai, alpha in enumerate(spec.alphas):
             try:
-                out[ki, ai] = window.estimate(alpha).gamma1_hat
+                out[ki, ai] = window.gamma1_hat(alpha)
             except EstimationError:
                 pass
     return out
@@ -195,7 +200,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     where every replicate failed is reported with NaN metrics.  Replicates
     run in min(n_jobs, usable CPUs, replicates) worker processes, each on
     contiguous replicate ranges; the ranges are concatenated in replicate
-    order, so the result does not depend on n_jobs or scheduling.
+    order, so the result does not depend on n_jobs or scheduling.  Each
+    cell is solved as in :func:`_replicate_estimates`: a local root scan
+    that falls back to the full scan and gives the full scan's root.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

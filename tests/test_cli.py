@@ -323,6 +323,12 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
     (["estimate", "DATA", "--k-min", "0"], "k=0 must be >= 1"),
     (["estimate", "DATA", "--k-min", "1", "--domain", "0", "5"],
      "--domain bounds must be positive and finite"),
+    (["estimate", "DATA", "--k-min", "1", "--tol=-1"], "tol_abs=-1.0 must be finite and > 0"),
+    (["estimate", "DATA", "--k-min", "1", "--tol", "0"], "tol_abs=0.0 must be finite and > 0"),
+    (["estimate", "DATA", "--k-min", "1", "--tol", "nan"], "tol_abs=nan must be finite and > 0"),
+    (["estimate", "DATA", "--k-min", "1", "--tol", "inf"], "tol_abs=inf must be finite and > 0"),
+    (["estimate", "DATA", "--k-min", "1", "--domain", "1e-6", "1e-6"],
+     "domain bounds must differ, got 1e-06 twice"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"
@@ -332,6 +338,20 @@ def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.strip() == f"error: {message}"
+
+
+def test_estimate_reversed_domain_still_solves(tmp_path, capsys):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (2.0, 1), (4.0, 1), (8.0, 0), (16.0, 1)])
+    args = ["estimate", str(f), "--k-min", "1", "--k-max", "3", "--alpha", "0.5"]
+    code, forward, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, reverse, _ = run_cli(capsys, *args, "--domain", "50", "1e-6")
+    assert code == 0
+    rows = [line.split(",") for line in reverse.splitlines()[1:]]
+    assert len(rows) == 3 and all(row[3] for row in rows)
+    for mine, theirs in zip(rows, (line.split(",") for line in forward.splitlines()[1:])):
+        assert float(mine[3]) == pytest.approx(float(theirs[3]), rel=1e-9)
 
 
 def test_internal_value_error_exits_2(tmp_path, capsys, monkeypatch):

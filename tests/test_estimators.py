@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from tailcens import estimators
 from tailcens import (
     EstimationError,
     MdpdWindow,
@@ -334,3 +337,150 @@ def test_mdpd_iterations_are_brent_count():
                         rtol=8.9e-16, full_output=True)
     assert result.gamma1_hat == root
     assert result.iterations == info.iterations > 0
+
+
+def test_solver_options_validation():
+    for bad in (dict(tol_abs=-1.0), dict(tol_abs=0.0), dict(tol_abs=float("nan")),
+                dict(tol_abs=float("inf")), dict(domain_lo=2.0, domain_hi=2.0),
+                dict(grid_points=1), dict(max_iter=0)):
+        with pytest.raises(ValueError):
+            SolverOptions(**bad)
+    assert SolverOptions(domain_lo=50.0, domain_hi=1e-6).grid[0] == 50.0
+    assert SolverOptions(grid_points=2, max_iter=1).grid.size == 2
+
+
+# The local scan of MdpdWindow.gamma1_hat against the full scan of estimate,
+# on residual functions whose roots are placed around the reference by hand.
+GRID = SolverOptions().grid
+MID = int(np.searchsorted(GRID, 1.0))  # the local window is GRID[MID - 8:MID + 8]
+
+
+class ScriptedWindow(MdpdWindow):
+    """A window whose residual is f(gamma1), the same in every scan and in Brent.
+
+    The powers buffer is left at 0, so the rounding guard sees only the
+    model term and passes every value not within ~1e-13 of 0.
+    """
+
+    def __init__(self, f, reference=1.0):
+        super().__init__(ordered_from_arrays(np.arange(1.0, 41.0), np.ones(40, dtype=int)), 20)
+        self.f = f
+        self.reference = reference
+
+    def _residuals(self, g, alpha, powers):
+        powers[:] = 0.0
+        return np.array([self.f(float(x)) for x in g])
+
+    def residual(self, gamma1, alpha):
+        return float(self.f(float(gamma1)))
+
+
+def local_and_full(window, alpha=0.5, options=SolverOptions()):
+    return window._local_root(alpha, options), window.estimate(alpha, options).gamma1_hat
+
+
+def test_local_scan_accepts_a_root_inside_the_window():
+    window = ScriptedWindow(lambda g: g - 1.1)
+    local, full = local_and_full(window)
+    assert local == full == window.gamma1_hat(0.5)
+    assert local == pytest.approx(1.1)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-20])
+def test_local_scan_guard_falls_back(offset):
+    # a residual at (0.0) or within rounding of (1e-20) zero on a grid row
+    window = ScriptedWindow(lambda g: g - GRID[MID + 2] + offset)
+    local, full = local_and_full(window)
+    assert local is None
+    assert window.gamma1_hat(0.5) == full == pytest.approx(GRID[MID + 2], rel=1e-12)
+
+
+def test_local_scan_without_sign_change_falls_back():
+    window = ScriptedWindow(lambda g: g - 20.0)
+    local, full = local_and_full(window)
+    assert local is None
+    assert window.gamma1_hat(0.5) == full == pytest.approx(20.0)
+
+
+def test_local_scan_root_rejected_by_tolerance_falls_back():
+    # a jump at 1.1 brackets no root: Brent stops there with |residual| = 1
+    window = ScriptedWindow(lambda g: np.sign(g - 1.1) if g < 10.0 else 15.0 - g)
+    local, full = local_and_full(window)
+    assert local is None
+    assert window.gamma1_hat(0.5) == full == pytest.approx(15.0)
+
+
+def test_local_root_not_closer_than_window_edge_falls_back():
+    inside = np.sqrt(GRID[MID + 6] * GRID[MID + 7])  # near the upper window edge
+    outside = np.sqrt(GRID[MID - 10] * GRID[MID - 9])  # below the lower edge, nearer
+    assert abs(outside - 1.0) < abs(inside - 1.0)
+    window = ScriptedWindow(lambda g: (g - outside) * (g - inside))
+    local, full = local_and_full(window)
+    assert local is None
+    assert window.gamma1_hat(0.5) == full == pytest.approx(outside)
+
+
+@pytest.mark.parametrize("reference, root", [
+    (GRID[3], np.sqrt(GRID[13] * GRID[14])),
+    (1e-9, np.sqrt(GRID[13] * GRID[14])),
+    (GRID[-4], np.sqrt(GRID[-14] * GRID[-15])),
+    (100.0, np.sqrt(GRID[-14] * GRID[-15])),
+])
+def test_local_scan_window_clipped_at_grid_end(reference, root):
+    # the clipped side's edge is a grid end, which no unscanned root lies beyond,
+    # so a root farther away than that edge is still accepted
+    window = ScriptedWindow(lambda g: g - root, reference)
+    local, full = local_and_full(window)
+    assert local == full == window.gamma1_hat(0.5)
+    assert local == pytest.approx(root)
+
+
+def test_local_scan_no_root_raises_like_full_scan():
+    window = ScriptedWindow(lambda g: 1.0)
+    assert window._local_root(0.5, SolverOptions()) is None
+    with pytest.raises(NoRootError):
+        window.estimate(0.5)
+    with pytest.raises(NoRootError, match="no root in bracket"):
+        window.gamma1_hat(0.5)
+    censored = ordered_from_arrays([1, 2, 3, 4, 5], [1, 1, 0, 0, 0])
+    with pytest.raises(NoRootError, match="all top observations censored"):
+        MdpdWindow(censored, 3).gamma1_hat(0.5)
+
+
+def test_local_scan_tie_takes_the_lower_root(monkeypatch):
+    # roots 0.75 and 1.25 are exactly 0.25 from the reference 1.0; Brent is
+    # stubbed to return them exactly, so only min()'s first-wins rule decides
+    def exact_brentq(f, a, b, **kwargs):
+        return (0.75 if b < 1.0 else 1.25), SimpleNamespace(iterations=1)
+
+    monkeypatch.setattr(estimators, "brentq", exact_brentq)
+    window = ScriptedWindow(lambda g: (g - 0.75) * (g - 1.25))
+    local, full = local_and_full(window)
+    assert local == full == 0.75
+    assert window.estimate(0.5).all_roots == (0.75, 1.25)
+
+
+@pytest.mark.parametrize("alpha, options", [
+    (0.0, SolverOptions()),
+    (0.5, SolverOptions(domain_lo=50.0, domain_hi=1e-6)),
+    (0.5, SolverOptions(grid_points=15)),
+])
+def test_local_scan_not_used_where_it_does_not_apply(alpha, options):
+    rng = np.random.default_rng(8)
+    s = ordered_from_arrays(rng.pareto(2.0, 300) + 1, (rng.random(300) < 0.7).astype(int))
+    window = MdpdWindow(s, 60)
+    assert window._local_root(alpha, options) is None
+    assert window.gamma1_hat(alpha, options) == window.estimate(alpha, options).gamma1_hat
+
+
+def test_local_scan_calls_brent_through_the_module(monkeypatch):
+    calls = []
+
+    def counting_brentq(*args, **kwargs):
+        calls.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "brentq", counting_brentq)
+    window = ScriptedWindow(lambda g: g - 1.1)
+    assert window._local_root(0.5, SolverOptions()) == pytest.approx(1.1)
+    assert len(calls) == 1 and calls[0][0] < 1.1 < calls[0][1]

@@ -8,16 +8,20 @@ from scipy.stats import kstest
 
 from tailcens import (
     ContaminationSpec,
+    EstimationError,
+    MdpdWindow,
     ModelParams,
     SweepSpec,
     burr_quantile,
     frechet_quantile,
     gamma2_from_p,
     order_sample,
+    ordered_from_arrays,
     censored_proportion,
     run_sweep,
     sample_contaminated_censored,
 )
+from tailcens.simulation import _draw_arrays, _replicate_estimates, _replicate_rng
 
 
 def burr_cdf(x, gamma1, eta):
@@ -160,6 +164,49 @@ def test_sweep_single_replicate_identity():
     for _, _, abs_bias, mse, failures in result.rows:
         assert failures == 0
         assert mse == pytest.approx(abs_bias ** 2, rel=1e-12)
+
+
+def full_scan_estimates(spec, replicate):
+    """Reference oracle: every (k, alpha) cell solved by the full grid scan."""
+    _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
+                                  _replicate_rng(spec.seed, replicate))
+    sample = ordered_from_arrays(z, delta)
+    out = np.full((len(spec.k_grid), len(spec.alphas)), np.nan)
+    for ki, k in enumerate(spec.k_grid):
+        window = MdpdWindow(sample, k)
+        for ai, alpha in enumerate(spec.alphas):
+            try:
+                out[ki, ai] = window.estimate(alpha).gamma1_hat
+            except EstimationError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("epsilon", [0.0, 0.4])
+def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
+    # the sweep-eps40 configuration; replicates 100 (seed 1) and 1 and 162
+    # (seed 7) hold the only eps = 0.4 cells whose local scan falls back
+    spec = make_spec(n=1000, model=ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55)),
+                     contamination=ContaminationSpec(epsilon=epsilon, theta1=0.6),
+                     alphas=(0.0, 0.1, 0.5, 1.0), k_grid=(50, 100, 150, 200, 250, 300),
+                     seed=seed)
+    outcomes = []
+    local_root = MdpdWindow._local_root
+
+    def counted(self, alpha, options):
+        root = local_root(self, alpha, options)
+        if alpha > 0:
+            outcomes.append(root is None)
+        return root
+
+    monkeypatch.setattr(MdpdWindow, "_local_root", counted)
+    for replicate in [*range(40), 100, 162]:
+        assert (_replicate_estimates(spec, replicate).tobytes()
+                == full_scan_estimates(spec, replicate).tobytes())
+    # both paths ran; no cell of seed 0 at eps = 0.4 falls back
+    assert not all(outcomes)
+    assert any(outcomes) == ((seed, epsilon) != (0, 0.4))
 
 
 def test_sweep_jensen():
