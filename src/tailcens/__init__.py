@@ -6,7 +6,6 @@ from .asymptotics import (
     asymptotic_ci,
     eta_star,
     mu,
-    mu_closed_form,
     phi,
     phi_star,
     sigma_squared,
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticConstants", "GaussianOracleConfig", "asymptotic_ci", "eta_star",
-    "mu", "mu_closed_form", "phi", "phi_star", "sigma_squared", "sigma_squared_mc",
+    "mu", "phi", "phi_star", "sigma_squared", "sigma_squared_mc",
     "kaplan_meier_survival", "mdpd_weights",
     "EstimateResult", "EstimationError", "MdpdWindow", "NoRootError", "SolverOptions",
     "censored_proportion", "efg_estimator", "hill_gamma", "mdpd_estimate",

@@ -15,18 +15,23 @@ reported rather than returning a spurious number.
 
 from __future__ import annotations
 
-import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm
 
 from .sample_model import ModelParams
+from .simulation import _usable_cpus
 
 _QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
-# float64 values in one row block of the Monte Carlo increments (8 MB)
-_MC_BLOCK_VALUES = 2 ** 20
+# Monte Carlo block layout: 2^18 float64 values (2 MB) per block, and never
+# fewer than 32 rows; the layout fixes the substreams, so it must not
+# depend on the worker count
+_MC_BLOCK_VALUES = 2 ** 18
+_MC_MIN_ROWS = 32
+_MC_MAX_WORKERS = 4
 
 
 def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
@@ -78,14 +83,10 @@ def eta_star(alpha: float, gamma1: float) -> float:
     return (1.0 + alpha) / gamma1 ** (2.0 + alpha) * (u * u + 1.0) / (u + 1.0) ** 3
 
 
-def mu(alpha: float, gamma1: float, tau1: float, check_closed_form: bool = True) -> float:
+def mu(alpha: float, gamma1: float, tau1: float) -> float:
     """Bias constant: int_1^inf x^(-1/gamma1) (x^(tau1/gamma1)-1)/(gamma1 tau1) phi(x) dx.
 
-    The integral definition is authoritative.  At tau1 = 0 the kernel is
-    interpreted as its limit log(x)/gamma1^2.  A closed-form expression
-    for the same quantity exists in the literature but disagrees with the
-    integral; when ``check_closed_form`` is set and tau1 < 0, a warning
-    reports any relative discrepancy above 1e-6 (see mu_closed_form).
+    At tau1 = 0 the kernel is interpreted as its limit log(x)/gamma1^2.
     """
     if tau1 > 0:
         raise ValueError("tau1 must be nonpositive")
@@ -108,31 +109,7 @@ def mu(alpha: float, gamma1: float, tau1: float, check_closed_form: bool = True)
         return np.exp(rate * v) * kernel(v) * scale * (a_lin - b_lin * v)
 
     value, _ = quad(integrand, 0.0, np.inf, **_QUAD_KW)
-    if check_closed_form and tau1 < 0:
-        printed = mu_closed_form(alpha, gamma1, tau1)
-        denom = max(abs(value), 1e-300)
-        if abs(printed - value) / denom > 1e-6:
-            warnings.warn(
-                f"mu closed form ({printed:.9g}) disagrees with the integral "
-                f"definition ({value:.9g}); the integral value is returned",
-                RuntimeWarning, stacklevel=2)
     return value
-
-
-def mu_closed_form(alpha: float, gamma1: float, tau1: float) -> float:
-    """Literature closed form for mu; diagnostic only.
-
-    Known to disagree with the integral definition (its second term lacks
-    the gamma1^-(alpha+2) scaling of the first); kept for cross-checks.
-    Undefined at tau1 = 0.
-    """
-    if tau1 >= 0:
-        raise ValueError("closed form requires tau1 < 0")
-    d = alpha - tau1 + alpha * gamma1 + 1.0
-    term1 = alpha / (tau1 * gamma1 ** (alpha + 2.0)) * (tau1 - 1.0) / d
-    term2 = (tau1 * gamma1 ** 2 * (2.0 * alpha - tau1 + 2.0 * alpha * gamma1 + 2.0)
-             / ((alpha + alpha * gamma1 + 1.0) ** 2 * d * d))
-    return term1 + term2
 
 
 def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelParams:
@@ -291,42 +268,51 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     singularity at s = 0, so a uniform grid underestimates badly), forms
     the limiting stochastic integrals and returns the empirical variance
     of their sum together with its Monte Carlo standard error.
-    Deterministic given the seed, for a fixed BLAS thread count.
 
-    The increments are drawn and reduced one block of rows at a time in
-    a single reused buffer (8 MB for M <= 16384 grid points, 64 rows
-    beyond), so memory is O(block * M) whatever the replicate count.
+    The replicates are cut into fixed blocks of max(32, 2^18 // M) rows.
+    Block b draws its B1 and then its B2 increments from its own Philox
+    substream, SeedSequence(seed).spawn(n_blocks)[b], and reduces each
+    row with a fixed-order (non-BLAS) dot product.  The blocks run on up
+    to 4 threads, each with one reused block buffer, so memory is
+    O(workers * block) whatever the replicate count (2 MB per thread for
+    M <= 8192).  The layout depends only on (grid_points, replicates,
+    seed), so the result is deterministic given the seed and bit-identical
+    for any worker count and any BLAS thread count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
-    p, q = model.p, model.q
     ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
-    m = config.grid_points
+    # row weights of int G1 dB1 - a B1(1) and of int G2 dB2 / gamma1, applied
+    # to standard normal increments
+    c1 = np.sqrt(model.p * ds) * (g1 - a_const)
+    c2 = np.sqrt(model.q * ds) * g2 / gamma1
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    r = config.replicates
-    # a multiple of 64 rows: BLAS's matrix-vector kernel sums rows in groups
-    # of 4 per thread and a leftover row in another order, so whole groups
-    # keep every row's dot product equal to the one-matrix product's
-    rows = max(64, _MC_BLOCK_VALUES // m // 64 * 64)
-    buf = np.empty((min(rows, r), m))
+    r, m = config.replicates, config.grid_points
+    rows = max(_MC_MIN_ROWS, _MC_BLOCK_VALUES // m)
+    n_blocks = -(-r // rows)
+    seeds = np.random.SeedSequence(config.seed).spawn(n_blocks)
+    totals = np.empty(r)
+    workers = min(n_blocks, _usable_cpus(), _MC_MAX_WORKERS)
 
-    def increment_blocks(variance: float):
-        # consecutive C-order (h, m) draws consume the Philox stream exactly
-        # as one (r, m) draw would, so blocking leaves every value unchanged
-        scale = np.sqrt(variance * ds)
-        for lo in range(0, r, rows):
-            block = buf[:min(rows, r - lo)]
+    def run_blocks(first: int) -> None:
+        buf = np.empty((rows, m))
+        for b in range(first, n_blocks, workers):
+            lo = b * rows
+            hi = min(lo + rows, r)
+            block = buf[:hi - lo]
+            rng = np.random.Generator(np.random.Philox(seeds[b]))
             rng.standard_normal(out=block)
-            np.multiply(block, scale, out=block)
-            yield lo, block
+            part1 = np.einsum("ij,j->i", block, c1)
+            rng.standard_normal(out=block)
+            totals[lo:hi] = part1 + np.einsum("ij,j->i", block, c2)
 
-    part1 = np.empty(r)
-    for lo, block in increment_blocks(p):  # int G1 dB1 - a B1(1)
-        part1[lo:lo + len(block)] = block @ g1 - a_const * block.sum(axis=1)
-    part2 = np.empty(r)
-    for lo, block in increment_blocks(q):
-        part2[lo:lo + len(block)] = (block @ g2) / gamma1
-    totals = part1 + part2
+    if workers == 1:
+        run_blocks(0)
+    else:
+        # the Philox fill releases the GIL, so threads draw in parallel; the
+        # pool is shut down before returning, so a later fork sees no threads
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(run_blocks, w) for w in range(workers)]:
+                done.result()
     estimate = float(totals.var(ddof=1))
     # variance of a sample variance of (approximately) Gaussian draws
     stderr = estimate * np.sqrt(2.0 / (r - 1))
@@ -364,6 +350,6 @@ def asymptotic_ci(gamma1_hat: float, alpha: float, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     sigma = np.sqrt(sigma_squared(alpha, model.gamma1, model.gamma2))
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * (1.0 + 1.0 / alpha) * sigma / (eta_star(alpha, model.gamma1) * np.sqrt(k))
     return gamma1_hat - half, gamma1_hat + half

@@ -364,7 +364,7 @@ def cmd_constants(args) -> int:
     with _argument_errors():
         gamma2 = gamma2_from_p(args.gamma1, args.p)
         config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)
-        mu_value = mu(args.alpha, args.gamma1, args.tau1, check_closed_form=False)
+        mu_value = mu(args.alpha, args.gamma1, args.tau1)
         sigma2 = sigma_squared(args.alpha, args.gamma1, gamma2)
     sigma2_mc, stderr = sigma_squared_mc(args.alpha, args.gamma1, gamma2, config)
     sys.stdout.write("alpha,gamma1,gamma2,p,tau1,eta_star,mu,sigma2,sigma2_mc,mc_stderr\n")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from math import factorial
@@ -8,17 +12,18 @@ import pytest
 from scipy.integrate import quad
 
 from tailcens import (
+    AsymptoticConstants,
     GaussianOracleConfig,
     ModelParams,
     asymptotic_ci,
     eta_star,
     mu,
-    mu_closed_form,
     phi,
     phi_star,
     sigma_squared,
     sigma_squared_mc,
 )
+from tailcens import asymptotics
 from tailcens.asymptotics import _check_variance_domain, _g_on_grid
 
 # ---------------------------------------------------------------------------
@@ -106,17 +111,29 @@ SIGMA_GRID = [(0.1, 0.3, 0.7), (0.3, 0.3, 0.6), (0.5, 0.5, 0.75),
 CONSTANTS_GRID = [(0.5, 0.3, 0.7), (1.0, 0.5, 0.8), (0.3, 0.2, 0.75)]
 
 
-def sigma2_mc_full_matrix(alpha, gamma1, gamma2, config):
-    """sigma_squared_mc with both increment matrices drawn whole."""
+def sigma2_mc_reference(alpha, gamma1, gamma2, config):
+    """sigma_squared_mc drawn serially, one block after another.
+
+    Block b holds max(32, 2^18 // M) replicate rows.  It draws its B1 and
+    then its B2 increments whole from substream b of
+    SeedSequence(seed).spawn(n_blocks), and reduces each row by an einsum
+    dot product with the scaled weights.
+    """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    c1 = np.sqrt(model.p * ds) * (g1 - a_const)
+    c2 = np.sqrt(model.q * ds) * g2 / gamma1
     r, m = config.replicates, config.grid_points
-    incr1 = rng.standard_normal((r, m)) * np.sqrt(model.p * ds)
-    incr2 = rng.standard_normal((r, m)) * np.sqrt(model.q * ds)
-    part1 = incr1 @ g1 - a_const * incr1.sum(axis=1)
-    part2 = (incr2 @ g2) / gamma1
-    estimate = float((part1 + part2).var(ddof=1))
+    rows = max(32, 2 ** 18 // m)
+    bounds = list(range(0, r, rows)) + [r]
+    seeds = np.random.SeedSequence(config.seed).spawn(len(bounds) - 1)
+    parts = []
+    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
+        rng = np.random.Generator(np.random.Philox(seed))
+        incr1 = rng.standard_normal((hi - lo, m))
+        incr2 = rng.standard_normal((hi - lo, m))
+        parts.append(np.einsum("ij,j->i", incr1, c1) + np.einsum("ij,j->i", incr2, c2))
+    estimate = float(np.concatenate(parts).var(ddof=1))
     return estimate, float(estimate * np.sqrt(2.0 / (r - 1)))
 
 
@@ -195,9 +212,7 @@ def test_eta_star_quadrature_identity(alpha, gamma1):
 
 def test_mu_hand_values():
     assert mu(1.0, 1.0, 0.0) == pytest.approx(5 / 27, abs=1e-10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert mu(1.0, 1.0, -1.0) == pytest.approx(11 / 72, abs=1e-10)
+    assert mu(1.0, 1.0, -1.0) == pytest.approx(11 / 72, abs=1e-10)
     with pytest.raises(ValueError):
         mu(1.0, 1.0, 0.5)
 
@@ -217,29 +232,23 @@ def test_mu_against_mpmath_oracle():
             return x ** (-1 / gamma1) * kern * ph
 
         expected = float(mpmath.quad(integrand, [1, 10, mpmath.inf]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert mu(alpha, gamma1, tau1) == pytest.approx(expected, rel=1e-8)
+        assert mu(alpha, gamma1, tau1) == pytest.approx(expected, rel=1e-8)
 
 
 def test_mu_vanishes_for_strong_second_order():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = [abs(mu(0.5, 0.5, tau1)) for tau1 in (-1.0, -10.0, -100.0)]
+    values = [abs(mu(0.5, 0.5, tau1)) for tau1 in (-1.0, -10.0, -100.0)]
     assert values[0] > values[1] > values[2]
     assert values[2] < 0.025
     # decay rate ~ 1/|tau1| once |tau1| is large
     assert values[2] == pytest.approx(values[1] / 10, rel=0.5)
 
 
-def test_mu_closed_form_disagrees_and_warns():
-    # the printed closed form is not the integral; the implementation must
-    # surface the discrepancy, not adopt it
-    assert mu_closed_form(1.0, 1.0, -1.0) != pytest.approx(11 / 72, rel=1e-3)
-    with pytest.warns(RuntimeWarning, match="closed form"):
-        mu(1.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        mu_closed_form(1.0, 1.0, 0.0)
+def test_mu_and_constants_raise_no_warning_for_negative_tau1():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mu(0.5, 0.3, -0.5) > 0
+        constants = AsymptoticConstants.compute(0.5, ModelParams(0.3, 0.7, tau1=-0.5))
+    assert constants.mu == mu(0.5, 0.3, -0.5)
 
 
 @pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID)
@@ -283,24 +292,61 @@ def test_sigma_squared_mc_deterministic_and_scaling():
 
 
 def test_sigma_squared_mc_one_partial_block_matches_full_matrix():
-    # 1003 replicates fill one partial block, so the arithmetic is the
-    # full-matrix formula's, operation for operation
+    # 262-row blocks at M = 1000: three full blocks and one partial one
     config = GaussianOracleConfig(replicates=1003, grid_points=1000, seed=11)
     gamma2 = 0.75 * 0.5 / 0.25
     assert sigma_squared_mc(0.5, 0.5, gamma2, config) == \
-        sigma2_mc_full_matrix(0.5, 0.5, gamma2, config)
+        sigma2_mc_reference(0.5, 0.5, gamma2, config)
 
 
 def test_sigma_squared_mc_many_blocks_match_full_matrix():
-    # eight blocks, the last one partial; a threaded BLAS may sum a leftover
-    # row of either product in another order, so rounding is allowed, while
-    # a block drawn out of order or reduced twice would move the result by
-    # far more than 1e-12
+    # 32-row blocks at M = 8192: 32 substreams, the last block partial
     config = GaussianOracleConfig(replicates=1003, grid_points=8192, seed=11)
     gamma2 = 0.75 * 0.5 / 0.25
-    got = sigma_squared_mc(0.5, 0.5, gamma2, config)
-    want = sigma2_mc_full_matrix(0.5, 0.5, gamma2, config)
-    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert sigma_squared_mc(0.5, 0.5, gamma2, config) == \
+        sigma2_mc_reference(0.5, 0.5, gamma2, config)
+
+
+# four 262-row blocks, so up to four workers each get a block
+DETERMINISM_CASE = (0.5, 0.5, 1.5, GaussianOracleConfig(replicates=1003, grid_points=1000,
+                                                        seed=11))
+
+
+def test_sigma_squared_mc_bit_equal_for_1_2_and_4_workers(monkeypatch):
+    pools = []
+
+    class RecordingPool(asymptotics.ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            pools.append((self._max_workers, len(self._threads)))
+
+    monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", RecordingPool)
+    threads_before = threading.active_count()
+    results = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: workers)
+        results[workers] = sigma_squared_mc(*DETERMINISM_CASE)
+        assert threading.active_count() == threads_before  # pool shut down
+    assert results[1] == results[2] == results[4]
+    assert results[1] == sigma2_mc_reference(*DETERMINISM_CASE)
+    # one worker runs in the calling thread; no pool starts more threads
+    # than its worker count
+    assert pools == [(2, 2), (4, 4)]
+
+
+def test_sigma_squared_mc_bit_equal_for_1_and_2_blas_threads():
+    code = ("from tailcens import GaussianOracleConfig, sigma_squared_mc; "
+            "print(repr(sigma_squared_mc(0.5, 0.5, 1.5, GaussianOracleConfig("
+            "replicates=1003, grid_points=1000, seed=11))))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == repr(sigma_squared_mc(*DETERMINISM_CASE)) + "\n"
 
 
 def test_sigma_squared_mc_memory_is_bounded():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -229,6 +233,15 @@ def test_constants_row(capsys):
     assert vals["eta_star"] == pytest.approx(10 / 27)
     assert vals["gamma2"] == pytest.approx(1.5)
     assert abs(vals["sigma2"] - vals["sigma2_mc"]) <= 3 * vals["mc_stderr"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, tailcens.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 def test_constants_p_too_small(capsys):
