@@ -6,7 +6,6 @@ from .asymptotics import (
     asymptotic_ci,
     eta_star,
     mu,
-    phi,
     phi_star,
     sigma_squared,
     sigma_squared_mc,
@@ -25,7 +24,6 @@ from .estimators import (
     efg_estimator,
     hill_gamma,
     mdpd_estimate,
-    mdpd_residual,
     mns_estimator,
     worms_estimator,
 )
@@ -53,11 +51,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticConstants", "GaussianOracleConfig", "asymptotic_ci", "eta_star",
-    "mu", "phi", "phi_star", "sigma_squared", "sigma_squared_mc",
+    "mu", "phi_star", "sigma_squared", "sigma_squared_mc",
     "kaplan_meier_survival", "mdpd_weights",
     "EstimateResult", "EstimationError", "MdpdWindow", "NoRootError", "SolverOptions",
     "censored_proportion", "efg_estimator", "hill_gamma", "mdpd_estimate",
-    "mdpd_residual", "mns_estimator", "worms_estimator",
+    "mns_estimator", "worms_estimator",
     "InvalidSampleError", "ModelParams", "OrderedSample", "TailConfig",
     "order_sample", "ordered_from_arrays", "top_log_excesses",
     "ContaminationSpec", "SweepResult", "SweepSpec", "burr_quantile",

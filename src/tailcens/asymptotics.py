@@ -2,7 +2,7 @@
 
 The limiting normal law of the estimator involves three constants: the
 curvature eta_star, the bias coefficient mu and the variance sigma2.
-eta_star and the phi/phi_star kernels have closed forms; mu and sigma2
+eta_star and the phi_star kernel have closed forms; mu and sigma2
 are computed by adaptive quadrature of their integral definitions, with
 an independent Gaussian-process Monte Carlo route for sigma2.
 
@@ -35,26 +35,16 @@ _MC_MAX_WORKERS = 4
 
 
 def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
-    """Shared coefficients: scale, linear part A - B*log(x), decay exponent."""
+    """Coefficients of the bias kernel phi(x) = scale (A - B log x) x^-decay, x >= 1.
+
+    Returns (scale, A, B, decay); phi decays to 0 and changes sign once, at
+    x = exp(A / B).
+    """
     scale = alpha / gamma1 ** (alpha + 3)
     a_lin = gamma1 * (1.0 + alpha + alpha * gamma1)
     b_lin = alpha * (1.0 + gamma1)
     decay = (alpha + gamma1 + alpha * gamma1) / gamma1
     return scale, a_lin, b_lin, decay
-
-
-def phi(x, alpha: float, gamma1: float):
-    """Bias kernel phi(x) = (alpha/gamma1^(alpha+3)) (A - B log x) x^-(...).
-
-    Defined on x >= 1; decays to 0 and changes sign once at
-    x = exp(A / B).  Vectorized over x.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 1):
-        raise ValueError("phi domain is x >= 1")
-    scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
-    out = scale * (a_lin - b_lin * np.log(x)) * x ** (-decay)
-    return float(out) if out.ndim == 0 else out
 
 
 def phi_star(x, alpha: float, gamma1: float):

@@ -145,6 +145,15 @@ def write_dataset(times: np.ndarray, statuses: np.ndarray, out) -> None:
                            zip(times[start:stop].tolist(), statuses[start:stop].tolist())]))
 
 
+def _write_output(times: np.ndarray, statuses: np.ndarray, path: str | None) -> None:
+    """``write_dataset`` to the file at path (``--output``), or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_dataset(times, statuses, fh)
+    else:
+        write_dataset(times, statuses, sys.stdout)
+
+
 def _k_range(args, n: int) -> list[int]:
     if args.k_step < 1:
         raise CliError("--k-step must be >= 1")
@@ -217,11 +226,7 @@ def cmd_contaminate(args) -> int:
     # order; the stable sort of the negated times puts tied rows in file order
     targets = uncensored[np.argsort(-times[uncensored], kind="stable")[:m]]
     times[targets] = sorted((r for _, r in table), reverse=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_dataset(times, statuses, fh)
-    else:
-        write_dataset(times, statuses, sys.stdout)
+    _write_output(times, statuses, args.output)
     return 0
 
 
@@ -391,11 +396,7 @@ def cmd_synth(args) -> int:
     # checked before writing, so that the dataset reads back
     if not np.all((times > 0) & (times < np.inf)):
         raise CliError("a scaled time is not positive and finite; choose another --scale")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_dataset(times, statuses, fh)
-    else:
-        write_dataset(times, statuses, sys.stdout)
+    _write_output(times, statuses, args.output)
     return 0
 
 

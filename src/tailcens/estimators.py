@@ -138,24 +138,15 @@ def mns_estimator(sample: OrderedSample, k: int) -> float:
     return float(np.dot(weights, log_exc))
 
 
-def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
-    """Residual of the MDPD estimating equation at gamma1.
-
-    Positive alpha required; at alpha = 0 use :func:`mns_estimator`.
-    """
-    if gamma1 <= 0:
-        raise ValueError(f"gamma1={gamma1} must be > 0")
-    config.check_against(sample.n)
-    return MdpdWindow(sample, config.k).residual(gamma1, config.alpha)
-
-
 class MdpdWindow:
     """The top-k window of one sample, shared by the MDPD solves at every alpha.
 
     Holds what the estimating equation needs that does not depend on alpha,
     each computed on first use: the weights a_ik, the log-excesses L_i, the
     products a_ik * -L_i and the MNS reference; and scratch buffers that
-    each residual evaluation overwrites.  Not safe to share between threads.
+    each residual evaluation overwrites.  Each residual is reduced as its own
+    one-row product, so its bits do not depend on the rows computed with it.
+    Not safe to share between threads.
     """
 
     def __init__(self, sample: OrderedSample, k: int):
@@ -179,27 +170,25 @@ class MdpdWindow:
         return self.weights * -self.log_exc
 
     @cached_property
-    def _local(self) -> np.ndarray:
-        """Scratch buffer of the local scan's powers."""
-        return np.empty((LOCAL_ROWS, self.k))
-
-    @cached_property
-    def _abs_terms(self) -> np.ndarray:
-        """Columns |a_ik * L_i| and a_ik (>= 0): the magnitudes the rounding guard sums."""
-        return np.column_stack((np.abs(self._weighted_neg_log), self.weights))
-
-    @cached_property
     def reference(self) -> float:
         """MNS estimate of the window, which is also the alpha = 0 solution."""
         return mns_estimator(self.sample, self.k)
 
-    def _residuals(self, g: np.ndarray, alpha: float, powers: np.ndarray) -> np.ndarray:
-        """Residual at each gamma1 of the 1-d array g; powers is a (g.size, k) buffer."""
+    def _residuals(self, g: np.ndarray, alpha: float) -> np.ndarray:
+        """Residual at each gamma1 of the 1-d array g, bit-equal to :meth:`residual` there.
+
+        Each row is its own (1, k) product, as in :meth:`residual`: a batched
+        ``powers @ v`` may round a row differently with the rows beside it.
+        """
+        if self._scan.shape[0] < g.size:
+            self._scan = np.empty((g.size, self.k))
+        powers = self._scan[:g.size]
         expo = -alpha * (1.0 + 1.0 / g)
         # powers[j, i] = r_i^{expo_j} = exp(expo_j * L_i)
         np.multiply(expo[:, None], self.log_exc, out=powers)
         np.exp(powers, out=powers)
-        empirical = powers @ self._weighted_neg_log + (powers @ self.weights) * g
+        rows = powers[:, None, :]
+        empirical = (rows @ self._weighted_neg_log)[:, 0] + (rows @ self.weights)[:, 0] * g
         model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
         return empirical - model
 
@@ -208,7 +197,8 @@ class MdpdWindow:
 
         The arithmetic of :meth:`_residuals` on a one-point grid, operation
         for operation (``d * d`` is what numpy's ``** 2`` computes), without
-        the small-array overhead that would dominate Brent's many calls.
+        the small-array overhead that would dominate Brent's many calls.  So
+        it equals the value of any scan at gamma1, bit for bit.
         """
         g = float(gamma1)
         powers = self._point
@@ -217,6 +207,34 @@ class MdpdWindow:
         d = 1.0 + alpha + alpha * g
         return float((powers @ self._weighted_neg_log)[0] + (powers @ self.weights)[0] * g
                      - alpha * g * (g + 1.0) / (d * d))
+
+    def _roots(self, alpha: float, options: SolverOptions, lo: int, hi: int) -> list[tuple]:
+        """Roots on grid rows lo..hi-1, as (root, residual, bracket, iterations).
+
+        Rows whose residual is exactly 0 come first, then the Brent roots of
+        each sign change between adjacent rows that meet ``options.tol_abs``.
+        Raises NoRootError if there are none.
+        """
+        grid = options.grid[lo:hi]
+        values = self._residuals(grid, alpha)
+        sign_change = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
+        exact_hits = np.nonzero(values == 0.0)[0]
+        if sign_change.size == 0 and exact_hits.size == 0:
+            raise NoRootError(f"no root in bracket ({float(grid[0])}, {float(grid[-1])})",
+                              grid=grid, residuals=values)
+
+        roots = [(float(grid[j]), 0.0, (float(grid[j]), float(grid[j])), 0)
+                 for j in exact_hits]
+        for j in sign_change:
+            a, b = float(grid[j]), float(grid[j + 1])
+            root, info = brentq(self.residual, a, b, args=(alpha,), xtol=1e-14,
+                                rtol=8.9e-16, maxiter=options.max_iter, full_output=True)
+            res = self.residual(root, alpha)
+            if abs(res) <= options.tol_abs:
+                roots.append((root, res, (a, b), info.iterations))
+        if not roots:
+            raise NoRootError("no root met the residual tolerance", grid=grid, residuals=values)
+        return roots
 
     def estimate(self, alpha: float,
                  options: SolverOptions = SolverOptions()) -> EstimateResult:
@@ -230,29 +248,7 @@ class MdpdWindow:
         if not np.any(self.weights > 0):
             raise NoRootError("no root exists: all top observations censored")
 
-        grid = options.grid
-        if self._scan.shape[0] != grid.size:
-            self._scan = np.empty((grid.size, k))
-        values = self._residuals(grid, alpha, self._scan)
-        sign_change = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-        exact_hits = np.nonzero(values == 0.0)[0]
-        if sign_change.size == 0 and exact_hits.size == 0:
-            raise NoRootError(
-                f"no root in bracket ({options.domain_lo}, {options.domain_hi})",
-                grid=grid, residuals=values)
-
-        roots = [(float(grid[j]), 0.0, (float(grid[j]), float(grid[j])), 0)
-                 for j in exact_hits]
-        for j in sign_change:
-            lo, hi = float(grid[j]), float(grid[j + 1])
-            root, info = brentq(self.residual, lo, hi, args=(alpha,), xtol=1e-14,
-                                rtol=8.9e-16, maxiter=options.max_iter, full_output=True)
-            res = self.residual(root, alpha)
-            if abs(res) <= options.tol_abs:
-                roots.append((root, res, (lo, hi), info.iterations))
-        if not roots:
-            raise NoRootError("no root met the residual tolerance", grid=grid, residuals=values)
-
+        roots = self._roots(alpha, options, 0, options.grid.size)
         best = min(roots, key=lambda r: abs(r[0] - self.reference))
         return EstimateResult(
             gamma1_hat=best[0], method="MDPD", alpha=alpha, k=k,
@@ -263,8 +259,8 @@ class MdpdWindow:
         """``self.estimate(alpha, options).gamma1_hat``, found by a local scan where it can.
 
         Raises what :meth:`estimate` raises.  The scan covers the
-        ``LOCAL_ROWS`` grid rows around the MNS reference; when it cannot
-        prove that its nearest root is the full scan's, the full scan runs.
+        ``LOCAL_ROWS`` grid rows around the MNS reference; when its nearest
+        root could be farther than a root outside them, the full scan runs.
         """
         root = self._local_root(alpha, options)
         return self.estimate(alpha, options).gamma1_hat if root is None else root
@@ -273,12 +269,12 @@ class MdpdWindow:
         """The full scan's nearest root from LOCAL_ROWS grid rows, or None if unproven.
 
         The rows are the window around ``searchsorted(grid, reference)``,
-        clipped at the grid ends.  Their sign changes are refined exactly
-        as in :meth:`estimate`, and the nearest root that meets the
-        tolerance (the first of equals, as ``min`` picks) is returned only
-        if it is strictly closer to the reference than both window edges;
-        an edge on a grid end counts as infinitely far.  Any root outside
-        the window lies beyond an edge, so it cannot be nearer.
+        clipped at the grid ends.  Their values are the full scan's (see
+        :meth:`_residuals`), so their roots are the full scan's roots inside
+        the window.  The nearest (the first of equals, as ``min`` picks) is
+        returned only if it is strictly closer to the reference than both
+        window edges, an edge on a grid end counting as infinitely far: any
+        root outside the window lies beyond an edge, so it cannot be nearer.
         """
         grid = options.grid
         if alpha == 0.0 or grid.size < LOCAL_ROWS or not grid[0] < grid[-1]:
@@ -287,42 +283,14 @@ class MdpdWindow:
         lo = min(max(int(np.searchsorted(grid, reference)) - LOCAL_ROWS // 2, 0),
                  grid.size - LOCAL_ROWS)
         hi = lo + LOCAL_ROWS
-        g = grid[lo:hi]
-        powers = self._local
-        values = self._residuals(g, alpha, powers)
-        # Rounding guard.  A residual is v = S1 + g*S2 - m with
-        # S1 = sum_i p_i a_i (-L_i), S2 = sum_i p_i a_i and m the model
-        # term.  p_i = exp(expo L_i) and m are elementwise, so they are the
-        # same in the full scan; only the BLAS order of the two k-term sums
-        # differs.  A k-term dot product in any order is within
-        # gamma_k * sum |terms| of exact (Higham, "Accuracy and Stability of
-        # Numerical Algorithms", 3.1), gamma_k = k u / (1 - k u), u = eps/2;
-        # the product by g, the addition and the subtraction of m add three
-        # roundings.  Two evaluation orders thus differ by at most
-        # 2 gamma_{k+3} T < 4 k eps T, T = sum |p a L| + g sum p a + |m|,
-        # for k >= 2; at k = 1 both compute the same single products.  A
-        # value above the bound has the full scan's sign and is not an
-        # exact zero there, so the local sign changes are the full scan's
-        # inside the window.  NaN fails the test and falls back too.
-        sums = powers @ self._abs_terms  # powers holds p_i after _residuals
-        model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
-        scale = sums[:, 0] + g * sums[:, 1] + np.abs(model)
-        if not np.all(np.abs(values) > (4 * self.k * np.finfo(float).eps) * scale):
+        try:
+            roots = self._roots(alpha, options, lo, hi)
+        except NoRootError:
             return None
-
-        best, best_distance = None, np.inf
-        for j in np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:])):
-            root, _ = brentq(self.residual, float(g[j]), float(g[j + 1]), args=(alpha,),
-                             xtol=1e-14, rtol=8.9e-16, maxiter=options.max_iter,
-                             full_output=True)
-            distance = abs(root - reference)
-            if abs(self.residual(root, alpha)) <= options.tol_abs and distance < best_distance:
-                best, best_distance = root, distance
-        lower_edge = abs(reference - g[0]) if lo > 0 else np.inf
-        upper_edge = abs(g[-1] - reference) if hi < grid.size else np.inf
-        if best_distance < min(lower_edge, upper_edge):
-            return best
-        return None
+        best = min(roots, key=lambda r: abs(r[0] - reference))[0]
+        lower_edge = abs(reference - grid[lo]) if lo > 0 else np.inf
+        upper_edge = abs(grid[hi - 1] - reference) if hi < grid.size else np.inf
+        return best if abs(best - reference) < min(lower_edge, upper_edge) else None
 
 
 def mdpd_estimate(sample: OrderedSample, config: TailConfig,

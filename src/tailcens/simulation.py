@@ -109,23 +109,16 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
 
 def sample_contaminated_censored(n: int, model: ModelParams,
                                  contamination: ContaminationSpec,
-                                 seed: int, replicate: int = 0,
-                                 return_latent: bool = False):
+                                 seed: int, replicate: int = 0):
     """Draw n censored observations from the contaminated model.
 
     Returns the pair (z, delta) of float64 times and int8 indicators in
     draw order; ``order_sample`` turns it into an OrderedSample.
-    Deterministic for fixed (seed, replicate).  With ``return_latent`` the
-    result is ((z, delta), x, c) with the underlying lifetime and
-    censoring draws (test instrumentation for the delta = 1{X <= C}
-    identity).
+    Deterministic for fixed (seed, replicate).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = _replicate_rng(seed, replicate)
-    x, c, z, delta = _draw_arrays(n, model, contamination, rng)
-    if return_latent:
-        return (z, delta), x, c
+    _, _, z, delta = _draw_arrays(n, model, contamination, _replicate_rng(seed, replicate))
     return z, delta
 
 

@@ -21,12 +21,10 @@ from tailcens import (
     eta_star,
     gamma2_from_p,
     mdpd_estimate,
-    mdpd_residual,
     mns_estimator,
     mu,
     ordered_from_arrays,
     order_sample,
-    phi,
     phi_star,
     run_sweep,
     sample_contaminated_censored,
@@ -34,6 +32,8 @@ from tailcens import (
     sigma_squared_mc,
 )
 from tailcens.cli import main as cli_main
+
+from oracles import mdpd_residual, phi
 
 SIGMA_GRID = [(0.1, 0.3, 0.7), (0.3, 0.3, 0.6), (0.5, 0.5, 0.75),
               (1.0, 1.0, 0.6), (0.3, 0.5, 0.7), (0.5, 0.3, 0.55)]

@@ -18,13 +18,14 @@ from tailcens import (
     asymptotic_ci,
     eta_star,
     mu,
-    phi,
     phi_star,
     sigma_squared,
     sigma_squared_mc,
 )
 from tailcens import asymptotics
 from tailcens.asymptotics import _check_variance_domain, _g_on_grid
+
+from oracles import phi
 
 # ---------------------------------------------------------------------------
 # independent oracle: psi1/psi2 are finite sums of c * x^e * (log x)^m, so

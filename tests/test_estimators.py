@@ -17,13 +17,14 @@ from tailcens import (
     efg_estimator,
     hill_gamma,
     mdpd_estimate,
-    mdpd_residual,
     mdpd_weights,
     mns_estimator,
     ordered_from_arrays,
     top_log_excesses,
     worms_estimator,
 )
+
+from oracles import mdpd_residual
 
 
 # oracle: the DPD surface whose stationary point the MDPD root must be
@@ -285,10 +286,11 @@ def test_random_samples_root_residual(seed):
 
 
 def reference_residuals(g, weights, log_exc, alpha):
-    """Estimating-equation residual with fresh outer-product temporaries, vectorized over g."""
+    """Estimating-equation residual at each g, every row reduced by its own fresh product."""
     g = np.atleast_1d(np.asarray(g, dtype=float))
     powers = np.exp(np.outer(-alpha * (1.0 + 1.0 / g), log_exc))
-    return (powers @ (weights * -log_exc) + (powers @ weights) * g
+    return (np.array([(p[None, :] @ (weights * -log_exc))[0] for p in powers])
+            + np.array([(p[None, :] @ weights)[0] for p in powers]) * g
             - alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2)
 
 
@@ -307,10 +309,26 @@ def test_window_residuals_bitwise_equal_reference(seed):
         log_exc, _ = top_log_excesses(s, k)
         for alpha in (1e-4, 0.1, 0.5, 2.0):
             expected = reference_residuals(grid, w, log_exc, alpha)
-            scan = window._residuals(grid, alpha, np.empty((grid.size, k)))
-            assert scan.tobytes() == expected.tobytes()
+            assert window._residuals(grid, alpha).tobytes() == expected.tobytes()
             for g in np.concatenate([grid[::17], rng.uniform(1e-3, 5.0, 5)]):
                 assert window.residual(g, alpha) == reference_residuals(g, w, log_exc, alpha)[0]
+
+
+@pytest.mark.parametrize("k", [1, 40, 299, 5000, 20000])
+def test_window_rows_do_not_depend_on_the_rows_scanned_with_them(k):
+    # a scan of any slice of the grid gives each row the full scan's bits,
+    # which are residual()'s bits at that grid point
+    rng = np.random.default_rng(k)
+    s = ordered_from_arrays(rng.pareto(1.5, k + 301) + 1, (rng.random(k + 301) < 0.6).astype(int))
+    grid = SolverOptions().grid
+    window = MdpdWindow(s, k)
+    alpha = 0.5
+    full = window._residuals(grid, alpha)
+    for rows in (1, 16, 37):
+        for lo in (0, 7, 91, grid.size - rows):
+            part = window._residuals(grid[lo:lo + rows], alpha)
+            assert part.tobytes() == full[lo:lo + rows].tobytes()
+    assert all(window.residual(g, alpha) == v for g, v in zip(grid, full))
 
 
 def test_window_estimates_equal_single_cell_estimates():
@@ -356,19 +374,14 @@ MID = int(np.searchsorted(GRID, 1.0))  # the local window is GRID[MID - 8:MID + 
 
 
 class ScriptedWindow(MdpdWindow):
-    """A window whose residual is f(gamma1), the same in every scan and in Brent.
-
-    The powers buffer is left at 0, so the rounding guard sees only the
-    model term and passes every value not within ~1e-13 of 0.
-    """
+    """A window whose residual is f(gamma1), the same in every scan and in Brent."""
 
     def __init__(self, f, reference=1.0):
         super().__init__(ordered_from_arrays(np.arange(1.0, 41.0), np.ones(40, dtype=int)), 20)
         self.f = f
         self.reference = reference
 
-    def _residuals(self, g, alpha, powers):
-        powers[:] = 0.0
+    def _residuals(self, g, alpha):
         return np.array([self.f(float(x)) for x in g])
 
     def residual(self, gamma1, alpha):
@@ -387,12 +400,14 @@ def test_local_scan_accepts_a_root_inside_the_window():
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-20])
-def test_local_scan_guard_falls_back(offset):
-    # a residual at (0.0) or within rounding of (1e-20) zero on a grid row
+def test_local_scan_root_on_a_grid_row(offset):
+    # a residual of exactly 0 (a root at the row) or of 1e-20 (a sign change
+    # just below it) on a grid row: the local scan's values are the full
+    # scan's, so both find the same root
     window = ScriptedWindow(lambda g: g - GRID[MID + 2] + offset)
     local, full = local_and_full(window)
-    assert local is None
-    assert window.gamma1_hat(0.5) == full == pytest.approx(GRID[MID + 2], rel=1e-12)
+    assert local == full == window.gamma1_hat(0.5)
+    assert local == pytest.approx(GRID[MID + 2], rel=1e-12)
 
 
 def test_local_scan_without_sign_change_falls_back():
