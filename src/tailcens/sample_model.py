@@ -124,16 +124,32 @@ def order_sample(observed: tuple[Sequence[float], Sequence[int]]) -> OrderedSamp
 def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSample:
     """Build an OrderedSample from parallel arrays of times and indicators.
 
-    The sort is stable, so tied times keep their input order.  The sample
-    contract is checked by :class:`OrderedSample`; only the shapes are
-    checked here, because indexing a longer delta with the sort order
-    would silently drop its extra entries.
+    The order is stable: tied times keep their input order, and the
+    permutation is that of ``np.argsort(z, kind="stable")``.  It is not
+    computed by a stable sort, which for float64 is a timsort, but by the
+    default sort followed by a sort of integer keys that restores input
+    order inside each run of equal times.  The sample contract is checked
+    by :class:`OrderedSample`; only the shapes are checked here, because
+    indexing a longer delta with the sort order would silently drop its
+    extra entries.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(delta)
     _check_shapes(z, d)
-    idx = np.argsort(z, kind="stable")
-    return OrderedSample(z[idx], d[idx])
+    n = z.size
+    idx = np.argsort(z)
+    zs = z[idx]
+    # key[i] first numbers the run of equal times that sorted position i is
+    # in; int64, since numpy 1.x on Windows would sum the booleans as int32
+    key = np.zeros(n, dtype=np.int64)
+    np.cumsum(zs[1:] != zs[:-1], dtype=np.int64, out=key[1:])
+    # then run * n + position, in place: sorted, the positions inside each
+    # run come out increasing, and % n recovers them
+    key *= n
+    key += idx
+    key.sort()
+    key %= n
+    return OrderedSample(z[key], d[key])
 
 
 def top_log_excesses(sample: OrderedSample, k: int) -> tuple[np.ndarray, np.ndarray]:

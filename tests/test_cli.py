@@ -139,6 +139,23 @@ def test_contaminate_empty_table_noop(tmp_path, capsys):
     assert out == "time,status\n1,1\n3,1\n"
 
 
+@pytest.mark.parametrize("replacement", ["inf", "-3", "0", "nan", "1e400"])
+@pytest.mark.parametrize("output", [False, True])
+def test_contaminate_rejects_a_replacement_that_is_not_positive_and_finite(
+        tmp_path, capsys, replacement, output):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (3.0, 1), (2.0, 1)])
+    table = tmp_path / "t.csv"
+    table.write_text(f"# original,replacement\n3,50\n2,{replacement}\n")
+    out = tmp_path / "o.csv"
+    argv = ["contaminate", str(f), "--table", str(table)]
+    argv += ["--output", str(out)] if output else []
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.strip() == f"error: {table}: replacement at line 3 is not positive and finite"
+    assert stdout == "" and not out.exists()
+
+
 def test_contaminate_too_few_uncensored(tmp_path, capsys):
     f = tmp_path / "d.csv"
     write_toy(f, [(1.0, 1), (3.0, 0)])

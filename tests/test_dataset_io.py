@@ -115,14 +115,64 @@ def test_clean_files_are_parsed_in_bulk(tmp_path, monkeypatch, name):
 
 def test_write_dataset_is_byte_identical_to_the_row_writer():
     rng = np.random.default_rng(3)
-    times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 10_000))
-    times[:8] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5,
-                 0.1, 1.0, 123456789012.5, 1e21]
-    statuses = (rng.random(10_000) < 0.6).astype(np.int8)
-    got, want = io.StringIO(), io.StringIO()
-    write_dataset(times, statuses, got)
-    reference_write_dataset(times.tolist(), statuses.tolist(), want)
-    assert got.getvalue() == want.getvalue()
+    times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 65537))
+    times[:11] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5,
+                  0.1, 1.0, 123456789012.5, 1e21, np.inf, np.nan, -0.0]
+    statuses = (rng.random(times.size) < 0.6).astype(np.int8)
+    # counts that put the last row on each side of a block edge
+    block = cli._WRITE_ROWS
+    for n in sorted({0, 1, block - 1, block, block + 1, 65535, 65536, 65537}):
+        got, want = io.StringIO(), io.StringIO()
+        write_dataset(times[:n], statuses[:n], got)
+        reference_write_dataset(times[:n].tolist(), statuses[:n].tolist(), want)
+        assert got.getvalue() == want.getvalue(), n
+        assert got.getvalue().count("\n") == n + 1
+
+
+def reference_contaminate(times: np.ndarray, statuses: np.ndarray,
+                          replacements: list[float]) -> np.ndarray:
+    """contaminate's targets by a stable sort of every uncensored time."""
+    times = times.copy()
+    uncensored = np.flatnonzero(statuses == 1)
+    targets = uncensored[np.argsort(-times[uncensored], kind="stable")[:len(replacements)]]
+    times[targets] = sorted(replacements, reverse=True)
+    return times
+
+
+def _contaminate_cases():
+    rng = np.random.default_rng(12)
+    # 40 uncensored rows tie at the cut, which has 4 table slots left
+    tied = np.concatenate([np.full(40, 9.0), rng.uniform(1, 8, 300), [11.0, 12.0, 10.0]])
+    tied_status = np.concatenate([np.ones(40), rng.integers(0, 2, 300), [1, 1, 1]])
+    order = rng.permutation(tied.size)
+    coarse = np.floor(rng.pareto(1.0, 5000) * 4) + 1
+    few = np.array([3.0, 1.0, 3.0, 2.0, 5.0, 3.0])
+    return {
+        "more ties at the cut than slots left": (tied[order], tied_status[order], 7),
+        "integer times, many ties": (coarse, (rng.random(5000) < 0.7).astype(int), 10),
+        "m equal to the uncensored count": (few, np.array([1, 0, 1, 1, 0, 1]), 4),
+        "every row uncensored and replaced": (few, np.ones(6, dtype=int), 6),
+    }
+
+
+CONTAMINATE_CASES = _contaminate_cases()
+
+
+@pytest.mark.parametrize("name", list(CONTAMINATE_CASES))
+def test_contaminate_matches_the_full_stable_sort(tmp_path, capsys, name):
+    times, statuses, m = CONTAMINATE_CASES[name]
+    statuses = statuses.astype(np.int8)
+    f = tmp_path / "d.csv"
+    with open(f, "w", encoding="utf-8", newline="") as fh:
+        reference_write_dataset(times.tolist(), statuses.tolist(), fh)
+    replacements = [1000.0 + 17.0 * i for i in range(m)]
+    table = tmp_path / "t.csv"
+    table.write_text("".join(f"0,{r!r}\n" for r in replacements[::-1]))
+    assert main(["contaminate", str(f), "--table", str(table)]) == 0
+    want = io.StringIO()
+    reference_write_dataset(reference_contaminate(times, statuses, replacements).tolist(),
+                            statuses.tolist(), want)
+    assert capsys.readouterr().out == want.getvalue()
 
 
 def test_contaminate_breaks_ties_in_file_order(tmp_path, capsys):

@@ -41,6 +41,44 @@ def test_order_sample_stable_ties():
     assert s.delta_concomitant.tolist() == [1, 0]
 
 
+def ordering_permutation(z: np.ndarray) -> np.ndarray:
+    """The permutation ordered_from_arrays applies, read back bit by bit.
+
+    Bit b of each input position is passed as the indicator; the
+    concomitants then spell out bit b of the position at each sorted slot.
+    """
+    positions = np.arange(z.size)
+    perm = np.zeros(z.size, dtype=np.int64)
+    for b in range(max(1, int(z.size - 1).bit_length())):
+        bits = ordered_from_arrays(z, (positions >> b) & 1).delta_concomitant
+        perm |= bits.astype(np.int64) << b
+    return perm
+
+
+def _ordering_inputs():
+    rng = np.random.default_rng(8)
+    sample = rng.pareto(2.0, 1000) + 1.0
+    tied_runs = np.repeat([5.0, 3.0, 1.0, 4.0], 7)
+    return {
+        "rounded to 3 decimals": np.round(rng.pareto(2.0, 100_000) + 1.0, 3),
+        "all equal": np.full(1000, 2.5),
+        "tied runs in reverse order": np.concatenate([tied_runs, tied_runs])[::-1],
+        "a sample concatenated with itself": np.concatenate([sample, sample]),
+        "one value": np.array([7.0]),
+    }
+
+
+ORDERING_INPUTS = _ordering_inputs()
+
+
+@pytest.mark.parametrize("name", list(ORDERING_INPUTS))
+def test_ordering_is_the_stable_argsort(name):
+    z = ORDERING_INPUTS[name]
+    want = np.argsort(z, kind="stable")
+    np.testing.assert_array_equal(ordering_permutation(z), want)
+    np.testing.assert_array_equal(ordered_from_arrays(z, np.ones(z.size)).z_sorted, z[want])
+
+
 def test_order_sample_empty():
     with pytest.raises(InvalidSampleError, match="empty sample"):
         order_sample(([], []))
@@ -53,6 +91,9 @@ def test_ordered_from_arrays_invalid():
         ordered_from_arrays([1.0, -2.0], [1, 1])
     with pytest.raises(InvalidSampleError):
         ordered_from_arrays([1.0, np.inf], [1, 1])
+    for z in ([np.nan], [1.0, np.nan, 1.0, np.nan], [np.nan, 2.0, 0.5]):
+        with pytest.raises(InvalidSampleError, match="invalid observation"):
+            ordered_from_arrays(z, [1] * len(z))
     with pytest.raises(InvalidSampleError):
         OrderedSample(np.array([2.0, 1.0]), np.array([1, 1]))
     with pytest.raises(InvalidSampleError):
