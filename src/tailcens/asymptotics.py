@@ -1,10 +1,9 @@
 """Asymptotic bias and variance constants of the MDPD tail estimator.
 
 The limiting normal law of the estimator involves three constants: the
-curvature eta_star, the bias coefficient mu and the variance sigma2.
-eta_star and the phi_star kernel have closed forms; mu and sigma2
-are computed by adaptive quadrature of their integral definitions, with
-an independent Gaussian-process Monte Carlo route for sigma2.
+curvature eta_star, the bias coefficient mu and the variance sigma2.  Their
+integrands, like phi_star's, are finite sums of powers and logs, so all
+have exact closed forms; sigma2 also has a Gaussian-process Monte Carlo route.
 
 All routines require the limiting uncensored proportion
 p = gamma2/(gamma1+gamma2) to exceed 1/2 where noted.  The variance
@@ -20,12 +19,10 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.integrate import quad
 
 from .sample_model import ModelParams
 from .simulation import _usable_cpus
 
-_QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
 # Monte Carlo block layout: 2^18 float64 values (2 MB) per block, and never
 # fewer than 32 rows; the layout fixes the substreams, so it must not
 # depend on the worker count
@@ -76,30 +73,18 @@ def eta_star(alpha: float, gamma1: float) -> float:
 def mu(alpha: float, gamma1: float, tau1: float) -> float:
     """Bias constant: int_1^inf x^(-1/gamma1) (x^(tau1/gamma1)-1)/(gamma1 tau1) phi(x) dx.
 
-    At tau1 = 0 the kernel is interpreted as its limit log(x)/gamma1^2.
+    At tau1 = 0 the kernel is its limit log(x)/gamma1^2.  With x = e^v the
+    integral is elementary, and its closed form does not divide by tau1.
     """
     if tau1 > 0:
         raise ValueError("tau1 must be nonpositive")
     if gamma1 <= 0 or alpha <= 0:
         raise ValueError("gamma1 and alpha must be positive")
-
-    if tau1 == 0.0:
-        def kernel(v):
-            return v / gamma1 ** 2
-    else:
-        def kernel(v):
-            return np.expm1(tau1 * v / gamma1) / (gamma1 * tau1)
-
-    # substitute x = e^v and fold every power of x into one exponent so the
-    # integrand is an overflow-free decaying exponential in v
     scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
-    rate = 1.0 - 1.0 / gamma1 - decay  # < 0 for all valid (alpha, gamma1)
-
-    def integrand(v):
-        return np.exp(rate * v) * kernel(v) * scale * (a_lin - b_lin * v)
-
-    value, _ = quad(integrand, 0.0, np.inf, **_QUAD_KW)
-    return value
+    rho = decay + 1.0 / gamma1 - 1.0
+    d = tau1 / gamma1
+    return scale / gamma1 ** 2 * (a_lin / (rho * (rho - d))
+                                  - b_lin * (2.0 * rho - d) / (rho ** 2 * (rho - d) ** 2))
 
 
 def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelParams:
@@ -115,9 +100,8 @@ def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelP
 def _psi_term_lists(alpha: float, gamma1: float, model: ModelParams):
     """psi1 and psi2 as power-log term lists [(coef, exponent, log_power)].
 
-    Both kernels are finite sums of coef * x^exponent * (log x)^power, so
-    the inner integrals can be evaluated on the log scale without ever
-    forming a huge power of x.
+    Both kernels are finite sums of coef * x^exponent * (log x)^power,
+    power 0 or 1, so their integrals are elementary.
     """
     scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
     c = (1.0 + alpha) * (1.0 + gamma1) / gamma1
@@ -131,66 +115,49 @@ def _psi_term_lists(alpha: float, gamma1: float, model: ModelParams):
     return psi1, psi2
 
 
+def _g_moments(terms, gamma: float) -> tuple[float, float]:
+    """(int_0^1 G ds, int_0^1 G^2 ds) for G(s) = int_1^(s^-gamma) psi(x) dx, exactly.
+
+    With x = e^v, psi(x) dx = f(v) dv for f(v) = sum c e^(kappa v) v^m, kappa = e + 1
+    and m <= 1 (so m! = 1).  Then int G ds = int_0^inf f(v) e^(-v/gamma) dv =
+    sum c/a^(m+1), and by Fubini int G^2 ds = 2 int_0^inf f(v) e^(-v/gamma) int_0^v
+    f(u) du dv, whose (i, j) term is 1/(a b^(m_j+1)) times 1 if m_i = 0, and times
+    (m_j+1)/b + 1/a if m_i = 1; here a = 1/gamma - kappa_i and b = a - kappa_j.
+    No kappa is a divisor, so kappa = 0 needs no branch.  The smallest b,
+    1/gamma - 2 max(kappa), is 2/(p gamma1) times the margin of
+    :func:`_check_variance_domain`'s second check, so every a and b is positive.
+    """
+    rate = 1.0 / gamma
+    mean = square = 0.0
+    for ci, ei, mi in terms:
+        a = rate - (ei + 1.0)
+        mean += ci / a ** (mi + 1)
+        for cj, ej, mj in terms:
+            b = a - (ej + 1.0)
+            pair = 1.0 / (a * b ** (mj + 1))
+            square += ci * cj * ((mj + 1) * pair / b + pair / a if mi else pair)
+    return mean, 2.0 * square
+
+
 def sigma_squared(alpha: float, gamma1: float, gamma2: float) -> float:
-    """Variance constant of the limiting normal law, by nested quadrature.
+    """Variance constant of the limiting normal law, in closed form.
 
     The double integral over the min-covariance kernel reduces, through
     the substitution s = x^(-1/gamma) and the Ito isometry, to single
-    integrals of G_m(s) = int_1^(s^-gamma) psi_m(x) dx:
+    integrals of G_m(s) = int_1^(s^-gamma) psi_m(x) dx, which
+    :func:`_g_moments` gives exactly:
 
         sigma2 = p*int_0^1 G1^2 ds + (q/gamma1^2)*int_0^1 G2^2 ds
                  - 2*a*p*int_0^1 G1 ds + p*a^2,   a = phi_star(1).
-
-    G2 diverges like a negative power of s at 0 (the outer integrand has
-    an integrable endpoint singularity), so the outer integral runs in
-    t = -log s and the damping factor e^{-t/2} from ds is folded INTO the
-    inner integrand: what is squared is the always-bounded
-    G(e^{-t})*e^{-t/2}, never G itself.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     p, q, gamma = model.p, model.q, model.gamma
     a_const = float(phi_star(1.0, alpha, gamma1))
     psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
-
-    def g_damped(terms, t: float) -> float:
-        # G(e^{-t}) * e^{-t/2} = int_0^{gamma*t} sum_j c_j e^{(e_j+1)v - t/2} v^m dv;
-        # every exponent in the integrand is <= 0 on the valid domain
-        if t <= 0.0:
-            return 0.0
-
-        def integrand(v):
-            return sum(cc * np.exp((e + 1.0) * v - 0.5 * t) * v ** m
-                       for cc, e, m in terms)
-
-        val, _ = quad(integrand, 0.0, gamma * t, **_QUAD_KW)
-        return val
-
-    def tail_cutoff(terms, square: bool) -> float:
-        # decay rate of the outer integrand ~ e^{-rate*t}; truncate where
-        # the tail mass is far below the quadrature tolerance
-        growth = max(max(e + 1.0 for _, e, _ in terms), 0.0)
-        rate = 1.0 - (2.0 if square else 1.0) * gamma * growth
-        if not square:
-            rate = 0.5 + 0.5 * rate - 0.5 * gamma * growth  # G_half decay + e^{-t/2}
-        return max(120.0, min(4000.0, 80.0 / rate))
-
-    def outer(f, cutoff: float) -> float:
-        total = 0.0
-        for lo, hi in ((0.0, 60.0), (60.0, cutoff)):
-            if hi <= lo:
-                continue
-            val, _ = quad(f, lo, hi, **_QUAD_KW)
-            total += val
-        return total
-
-    int_g1_sq = outer(lambda t: g_damped(psi1_terms, t) ** 2,
-                      tail_cutoff(psi1_terms, square=True))
-    int_g2_sq = outer(lambda t: g_damped(psi2_terms, t) ** 2,
-                      tail_cutoff(psi2_terms, square=True))
-    int_g1 = outer(lambda t: g_damped(psi1_terms, t) * np.exp(-0.5 * t),
-                   tail_cutoff(psi1_terms, square=False))
-    return (p * int_g1_sq + (q / gamma1 ** 2) * int_g2_sq
-            - 2.0 * a_const * p * int_g1 + p * a_const ** 2)
+    mean1, square1 = _g_moments(psi1_terms, gamma)
+    square2 = _g_moments(psi2_terms, gamma)[1]
+    return (p * square1 + (q / gamma1 ** 2) * square2
+            - 2.0 * a_const * p * mean1 + p * a_const ** 2)
 
 
 @dataclass(frozen=True)
@@ -225,23 +192,16 @@ def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
     m = config.grid_points
     s = (np.arange(m + 1) / m) ** config.grade
     s_mid = 0.5 * (s[:-1] + s[1:])
-    x_nodes = s_mid ** (-model.gamma)  # decreasing in j
     nodes, wts = np.polynomial.legendre.leggauss(8)
+    # x at the midpoints, decreasing in j, then 1: cell j is [edges[j+1], edges[j]]
+    edges = np.append(s_mid ** (-model.gamma), 1.0)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[:-1] - edges[1:])
+    log_x = np.log(mid[:, None] + half[:, None] * nodes[None, :])
 
     def g_at_midpoints(terms) -> np.ndarray:
-        def psi(x):
-            log_x = np.log(x)
-            return sum(c * np.exp(e * log_x) * log_x ** k for c, e, k in terms)
-
-        # cumulative int_1^{x_j} psi, built cell-by-cell from the right end
-        values = np.empty(m)
-        values[-1], _ = quad(psi, 1.0, x_nodes[-1], limit=200)
-        lo, hi = x_nodes[1:], x_nodes[:-1]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        cells = half * ((psi(mid[:, None] + half[:, None] * nodes[None, :])) @ wts)
-        values[:-1] = values[-1] + np.cumsum(cells[::-1])[::-1]
-        return values
+        # cumulative int_1^{x_j} psi, summed cell by cell from x = 1 upwards
+        psi = sum(c * np.exp(e * log_x) * log_x ** k for c, e, k in terms)
+        return np.cumsum((half * (psi @ wts))[::-1])[::-1]
 
     return (np.diff(s), g_at_midpoints(psi1_terms), g_at_midpoints(psi2_terms),
             float(phi_star(1.0, alpha, gamma1)))

@@ -383,8 +383,7 @@ def cmd_constants(args) -> int:
         raise CliError("p must lie in (0, 1)")
     if args.p <= 0.5:
         raise CliError("variance formula requires p > 1/2")
-    # mu and sigma_squared check the remaining arguments; the cheap checks
-    # run before the quadrature, and all of them before the MC
+    # mu and sigma_squared check the remaining arguments before the MC runs
     with _argument_errors():
         gamma2 = gamma2_from_p(args.gamma1, args.p)
         config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .empirical import kaplan_meier_survival, mdpd_weights
 from .sample_model import OrderedSample, TailConfig, top_log_excesses
@@ -81,6 +81,55 @@ class EstimateResult:
     iterations: int = 0
     bracket: tuple[float, float] | None = None
     all_roots: tuple[float, ...] = field(default_factory=tuple)
+
+
+def brentq(f, a: float, b: float, args: tuple, xtol: float, rtol: float,
+           maxiter: int) -> tuple[float, SimpleNamespace]:
+    """Root of f(x, *args) in the bracket [a, b] by Brent's method, as (root, info).
+
+    A line-for-line port of scipy's ``brentq.c``: root, iterations and function
+    calls equal scipy.optimize.brentq's for finite f, except at a zero bracket
+    end (0 iterations here, unset in scipy).  Raises ValueError if f(a) and
+    f(b) have the same sign, RuntimeError after maxiter iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    if fpre == 0 or fcur == 0:
+        return (xpre if fpre == 0 else xcur), SimpleNamespace(iterations=0, function_calls=2)
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, SimpleNamespace(iterations=i, function_calls=i + 1)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = np.inf  # C's inf or nan here fails the step test below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur, *args)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def hill_gamma(sample: OrderedSample, k: int) -> float:
@@ -228,7 +277,7 @@ class MdpdWindow:
         for j in sign_change:
             a, b = float(grid[j]), float(grid[j + 1])
             root, info = brentq(self.residual, a, b, args=(alpha,), xtol=1e-14,
-                                rtol=8.9e-16, maxiter=options.max_iter, full_output=True)
+                                rtol=8.9e-16, maxiter=options.max_iter)
             res = self.residual(root, alpha)
             if abs(res) <= options.tol_abs:
                 roots.append((root, res, (a, b), info.iterations))

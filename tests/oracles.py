@@ -1,8 +1,13 @@
 """Reference functions that only the tests use."""
 
 import numpy as np
+from scipy.integrate import quad
 
 from tailcens import MdpdWindow, OrderedSample, TailConfig
+from tailcens.asymptotics import (_check_variance_domain, _phi_coeffs, _psi_term_lists,
+                                  phi_star)
+
+_QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
 
 
 def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> float:
@@ -27,3 +32,75 @@ def phi(x, alpha: float, gamma1: float):
     decay = (alpha + gamma1 + alpha * gamma1) / gamma1
     out = alpha / gamma1 ** (alpha + 3) * (a_lin - b_lin * np.log(x)) * x ** (-decay)
     return float(out) if out.ndim == 0 else out
+
+
+def mu_quad(alpha: float, gamma1: float, tau1: float) -> float:
+    """The bias constant mu by adaptive quadrature of its integral in v = log x.
+
+    At tau1 = 0 the kernel is its limit log(x)/gamma1^2.
+    """
+    if tau1 > 0:
+        raise ValueError("tau1 must be nonpositive")
+    if tau1 == 0.0:
+        def kernel(v):
+            return v / gamma1 ** 2
+    else:
+        def kernel(v):
+            return np.expm1(tau1 * v / gamma1) / (gamma1 * tau1)
+
+    # every power of x = e^v folds into one decaying exponential in v
+    scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
+    rate = 1.0 - 1.0 / gamma1 - decay
+
+    def integrand(v):
+        return np.exp(rate * v) * kernel(v) * scale * (a_lin - b_lin * v)
+
+    return quad(integrand, 0.0, np.inf, **_QUAD_KW)[0]
+
+
+def sigma_squared_quad(alpha: float, gamma1: float, gamma2: float) -> float:
+    """The variance constant sigma2 by nested adaptive quadrature.
+
+    Same decomposition as ``sigma_squared`` into integrals of
+    G_m(s) = int_1^(s^-gamma) psi_m(x) dx, with the outer integrals in
+    t = -log s.  The damping factor e^{-t/2} from ds is folded into the
+    inner integrand, so what is squared is the bounded G(e^{-t}) e^{-t/2}.
+    The outer integral stops at t <= 4000, so it loses the tail mass where
+    the integrand decays slowly, near the edge of the variance domain.
+    """
+    model = _check_variance_domain(alpha, gamma1, gamma2)
+    p, q, gamma = model.p, model.q, model.gamma
+    a_const = float(phi_star(1.0, alpha, gamma1))
+    psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
+
+    def g_damped(terms, t: float) -> float:
+        # G(e^{-t}) e^{-t/2} = int_0^{gamma t} sum_j c_j e^{(e_j+1)v - t/2} v^m dv
+        if t <= 0.0:
+            return 0.0
+
+        def integrand(v):
+            return sum(cc * np.exp((e + 1.0) * v - 0.5 * t) * v ** m
+                       for cc, e, m in terms)
+
+        return quad(integrand, 0.0, gamma * t, **_QUAD_KW)[0]
+
+    def tail_cutoff(terms, square: bool) -> float:
+        # the outer integrand decays like e^{-rate t}
+        growth = max(max(e + 1.0 for _, e, _ in terms), 0.0)
+        rate = 1.0 - (2.0 if square else 1.0) * gamma * growth
+        if not square:
+            rate = 0.5 + 0.5 * rate - 0.5 * gamma * growth
+        return max(120.0, min(4000.0, 80.0 / rate))
+
+    def outer(f, cutoff: float) -> float:
+        return sum(quad(f, lo, hi, **_QUAD_KW)[0]
+                   for lo, hi in ((0.0, 60.0), (60.0, cutoff)) if hi > lo)
+
+    int_g1_sq = outer(lambda t: g_damped(psi1_terms, t) ** 2,
+                      tail_cutoff(psi1_terms, square=True))
+    int_g2_sq = outer(lambda t: g_damped(psi2_terms, t) ** 2,
+                      tail_cutoff(psi2_terms, square=True))
+    int_g1 = outer(lambda t: g_damped(psi1_terms, t) * np.exp(-0.5 * t),
+                   tail_cutoff(psi1_terms, square=False))
+    return (p * int_g1_sq + (q / gamma1 ** 2) * int_g2_sq
+            - 2.0 * a_const * p * int_g1 + p * a_const ** 2)

@@ -161,7 +161,7 @@ def test_criterion_5_no_contamination_near_equivalence():
 
 
 def test_criterion_6_variance_cross_oracle():
-    """Quadrature and Gaussian-process MC variances agree on a 6-point grid."""
+    """Closed-form and Gaussian-process MC variances agree on a 6-point grid."""
     start = time.time()
     worst_z = 0.0
     worst_rel = 0.0

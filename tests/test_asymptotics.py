@@ -9,6 +9,7 @@ from math import factorial
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from tailcens import (
@@ -23,9 +24,9 @@ from tailcens import (
     sigma_squared_mc,
 )
 from tailcens import asymptotics
-from tailcens.asymptotics import _check_variance_domain, _g_on_grid
+from tailcens.asymptotics import _check_variance_domain, _g_on_grid, _psi_term_lists
 
-from oracles import phi
+from oracles import mu_quad, phi, sigma_squared_quad
 
 # ---------------------------------------------------------------------------
 # independent oracle: psi1/psi2 are finite sums of c * x^e * (log x)^m, so
@@ -104,6 +105,17 @@ def sigma2_oracle(a, g1, g2):
             + (q / g1 ** 2) * _int_0_1(_tmul(g2_terms, g2_terms))
             - 2 * a_const * p * _int_0_1(g1_terms)
             + p * a_const ** 2)
+
+
+def sigma2_exact(a, g1, g2):
+    """sigma2_oracle in 50-digit arithmetic at the exact float inputs.
+
+    In double precision the oracle divides by (e+1)^2 for exponents e near
+    -1 and loses up to ~2e-10 relative on the SIGMA_GRID; at 50 digits it
+    is exact to double precision wherever e + 1 is not 0 itself.
+    """
+    with mpmath.workdps(50):
+        return float(sigma2_oracle(mpmath.mpf(a), mpmath.mpf(g1), mpmath.mpf(g2)))
 
 
 SIGMA_GRID = [(0.1, 0.3, 0.7), (0.3, 0.3, 0.6), (0.5, 0.5, 0.75),
@@ -252,12 +264,72 @@ def test_mu_and_constants_raise_no_warning_for_negative_tau1():
     assert constants.mu == mu(0.5, 0.3, -0.5)
 
 
-@pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID)
+@pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID + CONSTANTS_GRID)
 def test_sigma_squared_matches_exact_algebra(alpha, gamma1, p):
     gamma2 = p * gamma1 / (1 - p)
-    expected = sigma2_oracle(alpha, gamma1, gamma2)
+    expected = sigma2_exact(alpha, gamma1, gamma2)
     assert expected > 0
-    assert sigma_squared(alpha, gamma1, gamma2) == pytest.approx(expected, rel=1e-7)
+    assert sigma_squared(alpha, gamma1, gamma2) == pytest.approx(expected, rel=1e-12)
+    # the nested quadrature it replaced converges here, and agrees
+    assert sigma_squared_quad(alpha, gamma1, gamma2) == pytest.approx(expected, rel=1e-10)
+
+
+def _alpha_at_margin(margin, gamma1=0.3, p=0.7):
+    """alpha where p*(1 - gamma1 + alpha*(1+gamma1)) = 1/2 + margin."""
+    return ((0.5 + margin) / p - 1 + gamma1) / (1 + gamma1)
+
+
+@pytest.mark.parametrize("alpha,rel", [
+    (0.0125, 1e-12),  # margin 1.375e-3: the quadrature was 1.5e-3 low
+    (_alpha_at_margin(1e-3), 1e-12),  # the quadrature was 1.6% low
+    # at margin 1e-5, rounding the derived exponents (~1e-16 absolute) moves
+    # the smallest rate, and so sigma2, by ~1e-11 relative in any double
+    # evaluation; the quadrature was off by a factor ~1e4
+    (_alpha_at_margin(1e-5), 1e-10),
+], ids=["margin-1.4e-3", "margin-1e-3", "margin-1e-5"])
+def test_sigma_squared_near_the_variance_domain_edge(alpha, rel):
+    gamma1, p = 0.3, 0.7
+    gamma2 = p * gamma1 / (1 - p)
+    expected = sigma2_exact(alpha, gamma1, gamma2)
+    assert sigma_squared(alpha, gamma1, gamma2) == pytest.approx(expected, rel=rel)
+    constants = AsymptoticConstants.compute(alpha, ModelParams(gamma1, gamma2))
+    assert constants.sigma2 == sigma_squared(alpha, gamma1, gamma2)
+
+
+@pytest.mark.parametrize("gamma2", [2.0, 2 * (1 + 1e-12), 2 * (1 - 1e-12), 2 * (1 + 1e-8),
+                                    2 * (1 - 1e-8), 2 * (1 + 1e-4)])
+def test_sigma_squared_where_a_psi_exponent_is_minus_one(gamma2):
+    # at (alpha, gamma1) = (0.5, 0.5) the phi_star terms of psi1 and psi2
+    # have x-exponent -1 (kappa = 0) exactly at gamma2 = 2, where a
+    # term-by-term antiderivative would divide by zero
+    kappas = {e + 1.0 for terms in _psi_term_lists(0.5, 0.5, ModelParams(0.5, 2.0))
+              for _, e, _ in terms}
+    assert 0.0 in kappas
+    assert sigma_squared(0.5, 0.5, gamma2) == pytest.approx(
+        sigma_squared_quad(0.5, 0.5, gamma2), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha,gamma1", [(0.5, 0.3), (1.0, 1.0), (0.1, 1.2)])
+@pytest.mark.parametrize("tau1", [0.0, -1e-9, -0.5, -3.0])
+def test_mu_matches_quadrature(alpha, gamma1, tau1):
+    assert mu(alpha, gamma1, tau1) == pytest.approx(mu_quad(alpha, gamma1, tau1), rel=1e-12)
+
+
+@given(alpha=st.floats(1e-3, 5.0), gamma1=st.floats(0.02, 5.0), p=st.floats(0.5, 0.999))
+@settings(max_examples=500, deadline=None)
+def test_every_moment_rate_is_positive_on_the_variance_domain(alpha, gamma1, p):
+    gamma2 = p * gamma1 / (1 - p)
+    try:
+        model = _check_variance_domain(alpha, gamma1, gamma2)
+    except ValueError:
+        return
+    rate = 1.0 / model.gamma
+    for terms in _psi_term_lists(alpha, gamma1, model):
+        kappas = [e + 1.0 for _, e, _ in terms]
+        assert all(rate - ki > 0 and rate - ki - kj > 0 for ki in kappas for kj in kappas)
+        smallest = min(rate - ki - kj for ki in kappas for kj in kappas)
+        margin = model.p * (1 - gamma1 + alpha * (1 + gamma1)) - 0.5
+        assert smallest == pytest.approx(2 / (model.p * gamma1) * margin, rel=1e-6, abs=1e-9)
 
 
 def test_sigma_squared_domain_errors():
@@ -369,11 +441,11 @@ def test_sigma_squared_mc_memory_is_bounded():
     (GaussianOracleConfig(grid_points=32768, grade=16.0), CONSTANTS_GRID + SIGMA_GRID),
 ], ids=["default-grid", "fine-grid"])
 def test_grid_expectation_matches_sigma_squared(config, points):
-    """The MC estimate's exact mean on its grid against the nested quadrature.
+    """The MC estimate's exact mean on its grid against the closed form.
 
-    Cell-wise Gauss-Legendre in x on the graded s-grid is a different
-    discretisation from sigma_squared's nested log-space quadrature, so
-    this is an independent and much tighter check than the MC stderr.
+    Cell-wise Gauss-Legendre in x on the graded s-grid is a discretisation
+    independent of sigma_squared's closed form, so this is a much tighter
+    check than the MC stderr.
     """
     worst = 0.0
     for alpha, gamma1, p in points:

@@ -252,13 +252,37 @@ def test_constants_row(capsys):
     assert abs(vals["sigma2"] - vals["sigma2_mc"]) <= 3 * vals["mc_stderr"]
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def run_python(code, *argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, tailcens.cli; print('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, tailcens.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(code).stdout == "[]\n"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; from tailcens.cli import main; "
+            "print(main(sys.argv[1:]))")
+    data = tmp_path / "d.csv"
+    synth = run_python(code, "synth", "--n", "2000", "--gamma1", "0.3", "--p", "0.7",
+                       "--seed", "1", "--output", str(data))
+    assert synth.stdout == "0\n"
+    estimate = run_python(code, "estimate", str(data), "--k-min", "100", "--k-max", "200",
+                          "--k-step", "100", "--alpha", "0.5")
+    assert estimate.stdout.startswith("k,alpha,method,gamma1_hat,residual\n")
+    assert estimate.stdout.endswith("\n0\n") and estimate.stdout.count("MDPD") == 2
+    constants = run_python(code, "constants", "--alpha", "0.5", "--gamma1", "0.3",
+                           "--p", "0.7", "--replicates", "1000")
+    lines = constants.stdout.splitlines()
+    assert lines[0].startswith("alpha,gamma1,gamma2,p,tau1,eta_star,mu,sigma2")
+    assert len(lines) == 3 and lines[2] == "0"
 
 
 def test_constants_p_too_small(capsys):

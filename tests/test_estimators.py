@@ -3,23 +3,27 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq as scipy_brentq
 
 from tailcens import estimators
 from tailcens import (
+    ContaminationSpec,
     EstimationError,
     MdpdWindow,
+    ModelParams,
     NoRootError,
     OrderedSample,
     SolverOptions,
     TailConfig,
     censored_proportion,
     efg_estimator,
+    gamma2_from_p,
     hill_gamma,
     mdpd_estimate,
     mdpd_weights,
     mns_estimator,
     ordered_from_arrays,
+    sample_contaminated_censored,
     top_log_excesses,
     worms_estimator,
 )
@@ -351,8 +355,8 @@ def test_mdpd_iterations_are_brent_count():
     s = ordered_from_arrays(z, np.ones(300, dtype=int))
     config = TailConfig(k=90, alpha=0.4)
     result = mdpd_estimate(s, config)
-    root, info = brentq(mdpd_residual, *result.bracket, args=(s, config), xtol=1e-14,
-                        rtol=8.9e-16, full_output=True)
+    root, info = scipy_brentq(mdpd_residual, *result.bracket, args=(s, config), xtol=1e-14,
+                              rtol=8.9e-16, full_output=True)
     assert result.gamma1_hat == root
     assert result.iterations == info.iterations > 0
 
@@ -490,6 +494,7 @@ def test_local_scan_not_used_where_it_does_not_apply(alpha, options):
 
 def test_local_scan_calls_brent_through_the_module(monkeypatch):
     calls = []
+    brentq = estimators.brentq
 
     def counting_brentq(*args, **kwargs):
         calls.append(args[1:3])
@@ -499,3 +504,101 @@ def test_local_scan_calls_brent_through_the_module(monkeypatch):
     window = ScriptedWindow(lambda g: g - 1.1)
     assert window._local_root(0.5, SolverOptions()) == pytest.approx(1.1)
     assert len(calls) == 1 and calls[0][0] < 1.1 < calls[0][1]
+
+
+# estimators.brentq against scipy.optimize.brentq, which it ports
+
+
+def scipy_brentq_like_the_port(f, a, b, args, xtol, rtol, maxiter):
+    return scipy_brentq(f, a, b, args=args, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                        full_output=True)
+
+
+def brent_outcomes(f, a, b, args=(), xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """(root bits, iterations, calls), or the error, of the port and of scipy."""
+    outcomes = []
+    for solve in (estimators.brentq, scipy_brentq_like_the_port):
+        try:
+            root, info = solve(f, a, b, args, xtol, rtol, maxiter)
+            outcomes.append((root.hex(), info.iterations, info.function_calls))
+        except (ValueError, RuntimeError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def test_brentq_port_is_scipy_on_random_polynomials():
+    # coefficients down to 1e-250 underflow f(a)*f(b) and the step formulas'
+    # divisors, which exercises the zero-divisor path; tolerances and maxiter
+    # vary, and some brackets have no sign change or run out of iterations
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for trial in range(3000):
+        coef = rng.normal(size=rng.integers(2, 7)) * 10.0 ** rng.integers(-250, 5)
+        a, b = rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)
+        xtol, rtol, maxiter = [(1e-14, 8.9e-16, 100), (2e-12, 4 * np.finfo(float).eps, 200),
+                               (1e-6, 1e-8, 5)][trial % 3]
+        port, scipy = brent_outcomes(lambda x, c: float(np.polyval(c, x)), a, b, (coef,),
+                                     xtol, rtol, maxiter)
+        assert port == scipy, (trial, port, scipy)
+        kinds.add(port[0] if isinstance(port[0], type) else "root")
+    assert kinds == {"root", ValueError, RuntimeError}
+
+
+@pytest.mark.parametrize("f,a,b,root", [
+    (lambda x: x - 0.5, 0.5, 1.0, 0.5),
+    (lambda x: x - 0.5, 0.0, 0.5, 0.5),
+    (lambda x: 0.0, 0.0, 0.5, 0.0),  # the lower end wins
+])
+def test_brentq_port_returns_a_zero_at_a_bracket_end_after_no_iteration(f, a, b, root):
+    # scipy returns the same end after the same 2 calls, but leaves its
+    # iteration count unset there, so it reads whatever was in memory
+    (port_root, iterations, calls), (scipy_root, _, scipy_calls) = brent_outcomes(f, a, b)
+    assert port_root == scipy_root == root.hex()
+    assert (iterations, calls) == (0, scipy_calls) == (0, 2)
+
+
+@pytest.mark.parametrize("f,a,b,maxiter", [
+    (lambda x: x + 1.0, 0.0, 0.5, 100),  # no sign change: ValueError
+    (lambda x: x ** 3 - 2.0, 0.0, 5.0, 3),  # maxiter exhausted: RuntimeError
+    (lambda x: x ** 3 - 2.0, 0.0, 5.0, 12),  # converges on the last allowed iteration
+    (lambda x: x ** 3 - 2.0, 5.0, 0.0, 100),  # reversed bracket
+])
+def test_brentq_port_is_scipy_at_the_edges(f, a, b, maxiter):
+    port, scipy = brent_outcomes(f, a, b, maxiter=maxiter)
+    assert port == scipy
+
+
+def test_brentq_port_is_scipy_on_sweep_windows(monkeypatch):
+    """Every full-scan estimate of the sweep-eps40 cells, solved by both solvers.
+
+    Fifty replicates of the README sweep spec (n = 1000, gamma1 = 0.3,
+    p = 0.55, theta1 = 0.6, seed 0) at epsilon 0 and 0.4, k = 50..300 and
+    alpha in {0.1, 0.5, 1}: roots, residuals, iterations, brackets and all
+    roots must be equal, and so must every call's root, iterations and calls.
+    """
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55))
+    windows = [MdpdWindow(ordered_from_arrays(*sample_contaminated_censored(
+                   1000, model, ContaminationSpec(epsilon=eps, theta1=0.6), 0, r)), k)
+               for eps in (0.0, 0.4) for r in range(50) for k in range(50, 301, 50)]
+    outcomes = {}
+    for solver in (estimators.brentq, scipy_brentq_like_the_port):
+        calls = []
+
+        def recording(*args, solver=solver, **kwargs):
+            root, info = solver(*args, **kwargs)
+            calls.append((root.hex(), info.iterations, info.function_calls))
+            return root, info
+
+        monkeypatch.setattr(estimators, "brentq", recording)
+        results = []
+        for window in windows:
+            for alpha in (0.1, 0.5, 1.0):
+                try:
+                    results.append(window.estimate(alpha))
+                except NoRootError as exc:
+                    results.append(str(exc))
+        outcomes[solver] = results, calls
+    (port, port_calls), (scipy, scipy_calls) = outcomes.values()
+    assert len(port) == 1800 and len(port_calls) >= 1800
+    assert port == scipy
+    assert port_calls == scipy_calls
