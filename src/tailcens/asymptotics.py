@@ -4,6 +4,8 @@ The limiting normal law of the estimator involves three constants: the
 curvature eta_star, the bias coefficient mu and the variance sigma2.  Their
 integrands, like phi_star's, are finite sums of powers and logs, so all
 have exact closed forms; sigma2 also has a Gaussian-process Monte Carlo route.
+Each of its replicates is a fixed-weight sum of independent normals, so by
+the Ito isometry on its grid it is drawn exactly in law as one N(0, v).
 
 All routines require the limiting uncensored proportion
 p = gamma2/(gamma1+gamma2) to exceed 1/2 where noted.  The variance
@@ -14,21 +16,12 @@ reported rather than returning a spurious number.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .sample_model import ModelParams
-from .simulation import _usable_cpus
-
-# Monte Carlo block layout: 2^18 float64 values (2 MB) per block, and never
-# fewer than 32 rows; the layout fixes the substreams, so it must not
-# depend on the worker count
-_MC_BLOCK_VALUES = 2 ** 18
-_MC_MIN_ROWS = 32
-_MC_MAX_WORKERS = 4
 
 
 def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
@@ -212,59 +205,29 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
                      ) -> tuple[float, float]:
     """Monte Carlo estimate of sigma_squared from the Gaussian limit process.
 
-    Simulates the two independent centred Gaussian functionals whose
-    covariances are p*min(s,t) and q*min(s,t) on a graded grid of [0,1]
-    (s_j = (j/M)^grade -- the integrand of the variance has an endpoint
-    singularity at s = 0, so a uniform grid underestimates badly), forms
-    the limiting stochastic integrals and returns the empirical variance
-    of their sum together with its Monte Carlo standard error.
-
-    The replicates are cut into fixed blocks of max(32, 2^18 // M) rows.
-    Block b draws its B1 and then its B2 increments from its own Philox
-    substream, SeedSequence(seed).spawn(n_blocks)[b], and reduces each
-    row with a fixed-order (non-BLAS) dot product.  The blocks run on up
-    to 4 threads, each with one reused block buffer, so memory is
-    O(workers * block) whatever the replicate count (2 MB per thread for
-    M <= 8192).  The layout depends only on (grid_points, replicates,
-    seed), so the result is deterministic given the seed and bit-identical
-    for any worker count and any BLAS thread count.
+    On a graded grid of [0,1] (s_j = (j/M)^grade -- the integrand of the
+    variance has an endpoint singularity at s = 0, so a uniform grid
+    underestimates badly), each replicate of the limiting stochastic
+    integrals is sum_j c1_j Z1_j + sum_j c2_j Z2_j over independent standard
+    normal increments, with c1 = sqrt(p ds)(G1 - a) and c2 = sqrt(q ds) G2/gamma1.
+    A fixed-weight sum of independent standard normals is exactly N(0, v)
+    with v = |c1|^2 + |c2|^2 (the Ito isometry on the grid), so the r
+    replicate totals are drawn as sqrt(v) times r standard normals from one
+    Philox(SeedSequence(seed)) stream.  Returns their sample variance, whose
+    law is v chi2(r-1)/(r-1) as for the path-wise draw, with its Monte Carlo
+    standard error.  Work and memory are O(M + r); v is reduced by numpy's
+    pairwise sum, not BLAS, so the result is deterministic given the seed
+    for any BLAS thread count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
-    # row weights of int G1 dB1 - a B1(1) and of int G2 dB2 / gamma1, applied
-    # to standard normal increments
-    c1 = np.sqrt(model.p * ds) * (g1 - a_const)
-    c2 = np.sqrt(model.q * ds) * g2 / gamma1
-
-    r, m = config.replicates, config.grid_points
-    rows = max(_MC_MIN_ROWS, _MC_BLOCK_VALUES // m)
-    n_blocks = -(-r // rows)
-    seeds = np.random.SeedSequence(config.seed).spawn(n_blocks)
-    totals = np.empty(r)
-    workers = min(n_blocks, _usable_cpus(), _MC_MAX_WORKERS)
-
-    def run_blocks(first: int) -> None:
-        buf = np.empty((rows, m))
-        for b in range(first, n_blocks, workers):
-            lo = b * rows
-            hi = min(lo + rows, r)
-            block = buf[:hi - lo]
-            rng = np.random.Generator(np.random.Philox(seeds[b]))
-            rng.standard_normal(out=block)
-            part1 = np.einsum("ij,j->i", block, c1)
-            rng.standard_normal(out=block)
-            totals[lo:hi] = part1 + np.einsum("ij,j->i", block, c2)
-
-    if workers == 1:
-        run_blocks(0)
-    else:
-        # the Philox fill releases the GIL, so threads draw in parallel; the
-        # pool is shut down before returning, so a later fork sees no threads
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(run_blocks, w) for w in range(workers)]:
-                done.result()
+    v = (model.p * np.sum((g1 - a_const) ** 2 * ds)
+         + model.q / gamma1 ** 2 * np.sum(g2 ** 2 * ds))
+    r = config.replicates
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    totals = np.sqrt(v) * rng.standard_normal(r)
     estimate = float(totals.var(ddof=1))
-    # variance of a sample variance of (approximately) Gaussian draws
+    # variance of a sample variance of Gaussian draws
     stderr = estimate * np.sqrt(2.0 / (r - 1))
     return estimate, float(stderr)
 

@@ -4,8 +4,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from tailcens import MdpdWindow, OrderedSample, TailConfig
-from tailcens.asymptotics import (_check_variance_domain, _phi_coeffs, _psi_term_lists,
-                                  phi_star)
+from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_coeffs,
+                                  _psi_term_lists, phi_star)
 
 _QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
 
@@ -104,3 +104,23 @@ def sigma_squared_quad(alpha: float, gamma1: float, gamma2: float) -> float:
                    tail_cutoff(psi1_terms, square=False))
     return (p * int_g1_sq + (q / gamma1 ** 2) * int_g2_sq
             - 2.0 * a_const * p * int_g1 + p * a_const ** 2)
+
+
+def sigma2_mc_gaussian_path(alpha: float, gamma1: float, gamma2: float, config):
+    """sigma_squared_mc's estimate drawn path-wise, as the library once drew it.
+
+    Each of the r replicates draws M standard normal increments of B1 and
+    then M of B2, whole, from one Philox(SeedSequence(seed)) stream, and
+    forms int G1 dB1 - a B1(1) + int G2 dB2 / gamma1 on the oracle's grid.
+    Returns (sample variance, its standard error).  Work and memory are
+    O(M r).
+    """
+    model = _check_variance_domain(alpha, gamma1, gamma2)
+    ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
+    c1 = np.sqrt(model.p * ds) * (g1 - a_const)
+    c2 = np.sqrt(model.q * ds) * g2 / gamma1
+    r, m = config.replicates, config.grid_points
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    totals = rng.standard_normal((r, m)) @ c1 + rng.standard_normal((r, m)) @ c2
+    estimate = float(totals.var(ddof=1))
+    return estimate, float(estimate * np.sqrt(2.0 / (r - 1)))

@@ -1,7 +1,7 @@
+import dataclasses
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import warnings
 from math import factorial
@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
 from tailcens import (
@@ -23,10 +24,9 @@ from tailcens import (
     sigma_squared,
     sigma_squared_mc,
 )
-from tailcens import asymptotics
 from tailcens.asymptotics import _check_variance_domain, _g_on_grid, _psi_term_lists
 
-from oracles import mu_quad, phi, sigma_squared_quad
+from oracles import mu_quad, phi, sigma2_mc_gaussian_path, sigma_squared_quad
 
 # ---------------------------------------------------------------------------
 # independent oracle: psi1/psi2 are finite sums of c * x^e * (log x)^m, so
@@ -124,38 +124,28 @@ SIGMA_GRID = [(0.1, 0.3, 0.7), (0.3, 0.3, 0.6), (0.5, 0.5, 0.75),
 CONSTANTS_GRID = [(0.5, 0.3, 0.7), (1.0, 0.5, 0.8), (0.3, 0.2, 0.75)]
 
 
-def sigma2_mc_reference(alpha, gamma1, gamma2, config):
-    """sigma_squared_mc drawn serially, one block after another.
-
-    Block b holds max(32, 2^18 // M) replicate rows.  It draws its B1 and
-    then its B2 increments whole from substream b of
-    SeedSequence(seed).spawn(n_blocks), and reduces each row by an einsum
-    dot product with the scaled weights.
-    """
-    model = _check_variance_domain(alpha, gamma1, gamma2)
-    ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
-    c1 = np.sqrt(model.p * ds) * (g1 - a_const)
-    c2 = np.sqrt(model.q * ds) * g2 / gamma1
-    r, m = config.replicates, config.grid_points
-    rows = max(32, 2 ** 18 // m)
-    bounds = list(range(0, r, rows)) + [r]
-    seeds = np.random.SeedSequence(config.seed).spawn(len(bounds) - 1)
-    parts = []
-    for seed, lo, hi in zip(seeds, bounds[:-1], bounds[1:]):
-        rng = np.random.Generator(np.random.Philox(seed))
-        incr1 = rng.standard_normal((hi - lo, m))
-        incr2 = rng.standard_normal((hi - lo, m))
-        parts.append(np.einsum("ij,j->i", incr1, c1) + np.einsum("ij,j->i", incr2, c2))
-    estimate = float(np.concatenate(parts).var(ddof=1))
-    return estimate, float(estimate * np.sqrt(2.0 / (r - 1)))
-
-
 def sigma2_grid_expectation(alpha, gamma1, gamma2, config):
-    """Exact expectation of the Monte Carlo estimate on its own grid."""
+    """v, the exact variance of one replicate total on the Monte Carlo grid.
+
+    It is also the exact expectation of the Monte Carlo estimate there.
+    """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)
     return (model.p * np.sum((g1 - a_const) ** 2 * ds)
             + model.q / gamma1 ** 2 * np.sum(g2 ** 2 * ds))
+
+
+def sigma2_mc_one_stream(alpha, gamma1, gamma2, config):
+    """sigma_squared_mc written out: sqrt(v) times r normals drawn one by one.
+
+    v is the grid expectation above, and the normals come in order from one
+    Philox(SeedSequence(seed)) stream.
+    """
+    v = sigma2_grid_expectation(alpha, gamma1, gamma2, config)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
+    normals = np.array([rng.standard_normal() for _ in range(config.replicates)])
+    estimate = float((np.sqrt(v) * normals).var(ddof=1))
+    return estimate, float(estimate * np.sqrt(2.0 / (config.replicates - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,7 @@ def test_sigma_squared_domain_errors():
 def test_sigma_squared_mc_agrees():
     alpha, gamma1, p = 0.5, 0.5, 0.75
     gamma2 = p * gamma1 / (1 - p)
-    exact = sigma2_oracle(alpha, gamma1, gamma2)
+    exact = sigma_squared(alpha, gamma1, gamma2)
     config = GaussianOracleConfig(replicates=4000, seed=7)
     estimate, stderr = sigma_squared_mc(alpha, gamma1, gamma2, config)
     assert abs(estimate - exact) < 3 * stderr
@@ -364,53 +354,57 @@ def test_sigma_squared_mc_deterministic_and_scaling():
     assert se_big == pytest.approx(a[1] / 2, rel=0.2)
 
 
-def test_sigma_squared_mc_one_partial_block_matches_full_matrix():
-    # 262-row blocks at M = 1000: three full blocks and one partial one
-    config = GaussianOracleConfig(replicates=1003, grid_points=1000, seed=11)
-    gamma2 = 0.75 * 0.5 / 0.25
-    assert sigma_squared_mc(0.5, 0.5, gamma2, config) == \
-        sigma2_mc_reference(0.5, 0.5, gamma2, config)
-
-
-def test_sigma_squared_mc_many_blocks_match_full_matrix():
-    # 32-row blocks at M = 8192: 32 substreams, the last block partial
-    config = GaussianOracleConfig(replicates=1003, grid_points=8192, seed=11)
-    gamma2 = 0.75 * 0.5 / 0.25
-    assert sigma_squared_mc(0.5, 0.5, gamma2, config) == \
-        sigma2_mc_reference(0.5, 0.5, gamma2, config)
-
-
-# four 262-row blocks, so up to four workers each get a block
 DETERMINISM_CASE = (0.5, 0.5, 1.5, GaussianOracleConfig(replicates=1003, grid_points=1000,
                                                         seed=11))
+# the first constants-grid row at the default grid and replicate count
+DEFAULT_CASE = (0.5, 0.3, 0.7, GaussianOracleConfig())
 
 
-def test_sigma_squared_mc_bit_equal_for_1_2_and_4_workers(monkeypatch):
-    pools = []
+def test_sigma_squared_mc_matches_one_stream_reference():
+    for case in (DETERMINISM_CASE, DEFAULT_CASE):
+        assert sigma_squared_mc(*case) == sigma2_mc_one_stream(*case)
 
-    class RecordingPool(asymptotics.ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            super().shutdown(*args, **kwargs)
-            pools.append((self._max_workers, len(self._threads)))
 
-    monkeypatch.setattr(asymptotics, "ThreadPoolExecutor", RecordingPool)
-    threads_before = threading.active_count()
-    results = {}
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(asymptotics, "_usable_cpus", lambda: workers)
-        results[workers] = sigma_squared_mc(*DETERMINISM_CASE)
-        assert threading.active_count() == threads_before  # pool shut down
-    assert results[1] == results[2] == results[4]
-    assert results[1] == sigma2_mc_reference(*DETERMINISM_CASE)
-    # one worker runs in the calling thread; no pool starts more threads
-    # than its worker count
-    assert pools == [(2, 2), (4, 4)]
+# c2 carries 12-27% of v at these points, so a v without either part moves
+# the mean of the 2000 scaled estimates by >= 100 of its standard errors
+LAW_POINTS = CONSTANTS_GRID + [(0.5, 0.5, 0.75)]
+LAW_CONFIG = GaussianOracleConfig(grid_points=1000, replicates=1000)
+
+
+def test_sigma_squared_mc_law_is_scaled_chi_square():
+    """(r-1) estimate / v ~ chi2(r-1), v the exact grid variance of a replicate."""
+    r, seeds = LAW_CONFIG.replicates, 2000
+    points = [(alpha, gamma1, p * gamma1 / (1 - p)) for alpha, gamma1, p in LAW_POINTS]
+    variances = [sigma2_grid_expectation(*point, LAW_CONFIG) for point in points]
+    scaled = np.empty(seeds)
+    for seed in range(seeds):
+        config = dataclasses.replace(LAW_CONFIG, seed=seed)
+        point = seed % len(points)
+        estimate, stderr = sigma_squared_mc(*points[point], config)
+        assert stderr == estimate * np.sqrt(2.0 / (r - 1))
+        scaled[seed] = (r - 1) * estimate / variances[point]
+    assert abs(scaled.mean() - (r - 1)) < 4 * np.sqrt(2 * (r - 1) / seeds)
+    assert stats.kstest(scaled, stats.chi2(r - 1).cdf).pvalue > 1e-3
+
+
+def test_gaussian_path_reference_has_the_same_mean():
+    """The path-wise draw of B1 and B2 increments averages to v as well."""
+    seeds = 60
+    alpha, gamma1, p = LAW_POINTS[0]
+    gamma2 = p * gamma1 / (1 - p)
+    v = sigma2_grid_expectation(alpha, gamma1, gamma2, LAW_CONFIG)
+    ratios = [sigma2_mc_gaussian_path(alpha, gamma1, gamma2,
+                                      dataclasses.replace(LAW_CONFIG, seed=seed))[0] / v
+              for seed in range(seeds)]
+    se = np.sqrt(2.0 / (LAW_CONFIG.replicates - 1) / seeds)
+    assert abs(np.mean(ratios) - 1.0) < 3 * se
 
 
 def test_sigma_squared_mc_bit_equal_for_1_and_2_blas_threads():
     code = ("from tailcens import GaussianOracleConfig, sigma_squared_mc; "
             "print(repr(sigma_squared_mc(0.5, 0.5, 1.5, GaussianOracleConfig("
-            "replicates=1003, grid_points=1000, seed=11))))")
+            "replicates=1003, grid_points=1000, seed=11)))); "
+            "print(repr(sigma_squared_mc(0.5, 0.3, 0.7)))")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -419,18 +413,23 @@ def test_sigma_squared_mc_bit_equal_for_1_and_2_blas_threads():
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1] == repr(sigma_squared_mc(*DETERMINISM_CASE)) + "\n"
+    expected = "".join(repr(sigma_squared_mc(*case)) + "\n"
+                       for case in (DETERMINISM_CASE, DEFAULT_CASE))
+    assert outputs[0] == outputs[1] == expected
 
 
 def test_sigma_squared_mc_memory_is_bounded():
+    # O(M + r): at r = 10^5 the 2 M r path-wise increments would take 13 GB,
+    # and the r totals take 0.8 MB
     gamma2 = 0.7 * 0.3 / 0.3
-    tracemalloc.start()
-    try:
-        sigma_squared_mc(0.5, 0.3, gamma2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    for replicates in (4000, 10 ** 5):
+        tracemalloc.start()
+        try:
+            sigma_squared_mc(0.5, 0.3, gamma2, GaussianOracleConfig(replicates=replicates))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB at r = {replicates}"
 
 
 @pytest.mark.parametrize("config,points", [
