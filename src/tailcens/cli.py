@@ -69,6 +69,10 @@ _ROW = np.dtype([("time", np.float64), ("status", np.int8)])
 # scan reads as a line break (str.splitlines) or float() does not strip;
 # \r is absent because text read with universal newlines has none
 _SCAN_ONLY = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_HEADER = "time,status\n"
+# characters per read when deciding whether the bulk parse may take a file,
+# so that the decision never holds the whole text (~33 MB at n = 10^6)
+_CHECK_CHARS = 1 << 20
 # rows formatted per write: the row strings of a whole dataset at n = 10^6
 # would add ~90 MB to the peak memory of synth and contaminate, and a
 # block's freed cells and text stay resident in the heap, so 2^16-row
@@ -90,14 +94,9 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     The body is parsed in bulk by ``np.loadtxt``.  A file the bulk parse
     rejects, might read differently, or finds an invalid value in goes to
     the line scan, which decides what is valid and names the offending
-    line in its error.
+    line in its error.  Only the line scan holds the whole text.
     """
-    text = _read_text(path)
-    header, _, body = text.partition("\n")
-    # the scan takes a blank body, on which loadtxt warns, and any text on
-    # which the two parsers could disagree
-    if (header == "time,status" and body and not body.isspace()
-            and body.isascii() and not any(c in body for c in _SCAN_ONLY)):
+    if _bulk_readable(path):
         try:
             rows = np.loadtxt(path, dtype=_ROW, delimiter=",", comments=None, skiprows=1,
                               ndmin=1, encoding="utf-8")
@@ -108,7 +107,28 @@ def read_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             if (np.all((times > 0) & (times < np.inf))
                     and np.all((statuses == 0) | (statuses == 1))):
                 return times.copy(), statuses.copy()
-    return _scan_dataset(path, text.splitlines())
+    return _scan_dataset(path, _read_text(path).splitlines())
+
+
+def _bulk_readable(path: str) -> bool:
+    """Whether the bulk parse may read the file, decided one block of text at a time.
+
+    The scan takes a blank body, on which loadtxt warns, and any text on
+    which the two parsers could disagree.  A file that cannot be read or
+    decoded also goes to the scan, which reports it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.read(len(_HEADER)) != _HEADER:
+                return False
+            blank = True
+            while chunk := fh.read(_CHECK_CHARS):
+                if not chunk.isascii() or any(c in chunk for c in _SCAN_ONLY):
+                    return False
+                blank = blank and chunk.isspace()
+            return not blank
+    except (OSError, UnicodeDecodeError):
+        return False
 
 
 def _scan_dataset(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +195,8 @@ def _k_range(args, n: int) -> list[int]:
 
 
 def cmd_estimate(args) -> int:
-    times, statuses = read_dataset(args.file)
-    sample = ordered_from_arrays(times, statuses)
+    # the unordered arrays are not kept beside the sample
+    sample = ordered_from_arrays(*read_dataset(args.file))
     ks = _k_range(args, sample.n)
     alphas = args.alpha if args.alpha else [0.0]
     lo, hi = args.domain
@@ -230,10 +250,10 @@ def cmd_contaminate(args) -> int:
     times, statuses = read_dataset(args.file)
     table = _load_injection_table(args.table) if args.table else list(DEFAULT_OUTLIER_TABLE)
     m = len(table)
-    uncensored = np.flatnonzero(statuses == 1)
-    if uncensored.size < m:
-        raise CliError(
-            f"dataset has {uncensored.size} uncensored rows; injection table needs {m}")
+    uncensored = statuses == 1
+    count = int(np.count_nonzero(uncensored))
+    if count < m:
+        raise CliError(f"dataset has {count} uncensored rows; injection table needs {m}")
     if m:  # an empty table replaces nothing
         # the m largest uncensored times, matched to replacements in
         # descending order.  Only the rows at or above the m-th largest time
@@ -241,8 +261,10 @@ def cmd_contaminate(args) -> int:
         # negated times puts tied rows in file order, as a stable sort of
         # every uncensored row would.
         candidates = times[uncensored]
-        cut = np.partition(candidates, candidates.size - m)[candidates.size - m]
-        top = uncensored[candidates >= cut]
+        candidates.partition(count - m)
+        cut = candidates[count - m]
+        del candidates
+        top = np.flatnonzero((times >= cut) & uncensored)
         targets = top[np.argsort(-times[top], kind="stable")[:m]]
         times[targets] = sorted((r for _, r in table), reverse=True)
     _write_output(times, statuses, args.output)
@@ -407,10 +429,10 @@ def cmd_synth(args) -> int:
                             eta=args.eta)
         contamination = ContaminationSpec(epsilon=args.epsilon, theta1=args.theta1,
                                           eta=args.eta)
-    z, statuses = sample_contaminated_censored(args.n, model, contamination,
-                                               seed=args.seed)
+    times, statuses = sample_contaminated_censored(args.n, model, contamination,
+                                                   seed=args.seed)
     with np.errstate(over="ignore"):  # overflow to inf is caught just below
-        times = z * args.scale
+        times *= args.scale
     # checked before writing, so that the dataset reads back
     if not np.all((times > 0) & (times < np.inf)):
         raise CliError("a scaled time is not positive and finite; choose another --scale")

@@ -21,15 +21,14 @@ def kaplan_meier_survival(sample: OrderedSample, x: float) -> float:
 
     Product of ((n-i)/(n-i+1))^delta over all order statistics <= x.
     Returns 1 for x below the smallest observation; can reach 0 at the
-    largest observation when it is uncensored.
+    largest observation when it is uncensored.  A censored order statistic
+    contributes the factor 1, so only the uncensored ones are multiplied,
+    as j/(j+1) with j = n-i.
     """
     n = sample.n
     m = int(np.searchsorted(sample.z_sorted, x, side="right"))
-    if m == 0:
-        return 1.0
-    i = np.arange(1, m + 1)
-    factors = ((n - i) / (n - i + 1.0)) ** sample.delta_concomitant[:m]
-    return float(np.prod(factors))
+    j = (n - 1) - np.flatnonzero(sample.delta_concomitant[:m])
+    return float(np.prod(j / (j + 1.0)))
 
 
 def mdpd_weights(sample: OrderedSample, k: int) -> np.ndarray:
@@ -48,4 +47,4 @@ def mdpd_weights(sample: OrderedSample, k: int) -> np.ndarray:
     # tail[i-1] = sum_{j=i+1}^{k} delta_j / j
     ratios = deltas / i
     tail = np.concatenate([np.cumsum(ratios[::-1])[::-1][1:], [0.0]])
-    return (deltas / i) * np.exp(-tail)
+    return ratios * np.exp(-tail)

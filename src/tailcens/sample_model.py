@@ -40,7 +40,8 @@ class OrderedSample:
             raise InvalidSampleError("empty sample")
         if np.any(z <= 0) or not np.all(np.isfinite(z)):
             raise InvalidSampleError("invalid observation: all z must be positive and finite")
-        if np.any(np.diff(z) < 0):
+        # z is finite here, so this is the sign test of np.diff without its array
+        if np.any(z[1:] < z[:-1]):
             raise InvalidSampleError("z_sorted must be nondecreasing")
         # checked before the int8 cast, which would turn 1.5 into 1
         if not np.all((d == 0) | (d == 1)):
@@ -128,8 +129,10 @@ def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSamp
     permutation is that of ``np.argsort(z, kind="stable")``.  It is not
     computed by a stable sort, which for float64 is a timsort, but by the
     default sort followed by a sort of integer keys that restores input
-    order inside each run of equal times.  The sample contract is checked
-    by :class:`OrderedSample`; only the shapes are checked here, because
+    order inside each run of equal times.  Each temporary is dropped once
+    used, so besides the input at most two n-long 8-byte arrays and one
+    mask are alive at once.  The sample contract is checked by
+    :class:`OrderedSample`; only the shapes are checked here, because
     indexing a longer delta with the sort order would silently drop its
     extra entries.
     """
@@ -139,17 +142,26 @@ def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSamp
     n = z.size
     idx = np.argsort(z)
     zs = z[idx]
+    new_run = zs[1:] != zs[:-1]
+    del zs
     # key[i] first numbers the run of equal times that sorted position i is
-    # in; int64, since numpy 1.x on Windows would sum the booleans as int32
+    # in; int64, since numpy 1.x on Windows would sum the booleans as int32.
+    # The sum runs in place: a cumsum from bool to int64 would first copy
+    # its whole input to int64
     key = np.zeros(n, dtype=np.int64)
-    np.cumsum(zs[1:] != zs[:-1], dtype=np.int64, out=key[1:])
+    key[1:] = new_run
+    del new_run
+    np.cumsum(key, out=key)
     # then run * n + position, in place: sorted, the positions inside each
     # run come out increasing, and % n recovers them
     key *= n
     key += idx
+    del idx
     key.sort()
     key %= n
-    return OrderedSample(z[key], d[key])
+    z, d = z[key], d[key]
+    del key  # before the checks of OrderedSample, which take a few n-long masks
+    return OrderedSample(z, d)
 
 
 def top_log_excesses(sample: OrderedSample, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,8 +34,13 @@ def burr_quantile(u, gamma1: float, eta: float):
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise ValueError("u must lie in [0, 1)")
+    # in place, so that one array the size of u is allocated
+    out = 1.0 - u
     with np.errstate(over="ignore"):
-        out = np.asarray(((1.0 - u) ** (-gamma1 / eta) - 1.0) ** eta)
+        out **= -gamma1 / eta
+        out -= 1.0
+        out **= eta
+    out = np.asarray(out)
     # (1 - u)^(-gamma1/eta) can exceed the float range while the quantile
     # itself does not; there x = exp(eta * (a + log(1 - e^-a))) with
     # a = -(gamma1/eta) log(1 - u) stays finite
@@ -53,8 +58,9 @@ def frechet_quantile(u, gamma2: float):
     if np.any((u <= 0) | (u >= 1)):
         raise ValueError("u must lie in (0, 1)")
     # for u close to 1 the quantile exceeds the float range; its limit is +inf
+    out = -np.log(u)
     with np.errstate(over="ignore"):
-        out = (-np.log(u)) ** (-gamma2)
+        out **= -gamma2  # in place, as in burr_quantile
     return float(out) if out.ndim == 0 else out
 
 
@@ -87,21 +93,26 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
 
 def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
                  rng: np.random.Generator):
-    """Latent draws (x, c) and observed (z, delta) as arrays."""
-    u_mix = rng.random(n)
+    """Latent draws (x, c) and observed (z, delta) as arrays.
+
+    The uniforms come from the stream in the order u_mix, u_x, u_c, each
+    n long; each is dropped once used, and the contaminant quantile is
+    evaluated on the contaminated rows only, so no full-length array is
+    kept that the result does not need.
+    """
+    contaminated = rng.random(n) < contamination.epsilon
     u_x = rng.random(n)
+    x = burr_quantile(u_x, model.gamma1, model.eta)
+    x[contaminated] = burr_quantile(u_x[contaminated], contamination.theta1, contamination.eta)
+    del u_x
     u_c = rng.random(n)
-    contaminated = u_mix < contamination.epsilon
-    x = np.where(
-        contaminated,
-        burr_quantile(u_x, contamination.theta1, contamination.eta),
-        burr_quantile(u_x, model.gamma1, model.eta))
     # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
-    c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny), model.gamma2)
+    c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny, out=u_c), model.gamma2)
+    del u_c
     # contaminants are corrupted recorded values: always observed, never
     # censored (this, not censoring the contaminant draw, reproduces the
     # robustness orderings the sweep is meant to exhibit)
-    c = np.where(contaminated, np.inf, c)
+    c[contaminated] = np.inf
     z = np.minimum(x, c)
     delta = (x <= c).astype(np.int8)
     return x, c, z, delta

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.integrate import quad
 
-from tailcens import MdpdWindow, OrderedSample, TailConfig
+from tailcens import ContaminationSpec, MdpdWindow, ModelParams, OrderedSample, TailConfig
 from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_coeffs,
                                   _psi_term_lists, phi_star)
 
@@ -124,3 +124,53 @@ def sigma2_mc_gaussian_path(alpha: float, gamma1: float, gamma2: float, config):
     totals = rng.standard_normal((r, m)) @ c1 + rng.standard_normal((r, m)) @ c2
     estimate = float(totals.var(ddof=1))
     return estimate, float(estimate * np.sqrt(2.0 / (r - 1)))
+
+
+def burr_quantile_whole(u, gamma1: float, eta: float) -> np.ndarray:
+    """The Burr quantile of an array of uniforms, each step into a new array."""
+    with np.errstate(over="ignore"):
+        out = ((1.0 - u) ** (-gamma1 / eta) - 1.0) ** eta
+    overflow = ~np.isfinite(out)
+    if np.any(overflow):
+        a = -(gamma1 / eta) * np.log1p(-u[overflow])
+        with np.errstate(over="ignore"):
+            out[overflow] = np.exp(eta * (a + np.log(-np.expm1(-a))))
+    return out
+
+
+def draw_arrays_where(n: int, model: ModelParams, contamination: ContaminationSpec,
+                      rng: np.random.Generator):
+    """``simulation._draw_arrays`` as once written: (x, c, z, delta).
+
+    Both Burr quantiles are evaluated on every row, one is picked by
+    ``np.where``, and every uniform array lives to the end.  The uniforms
+    come from rng in the order u_mix, u_x, u_c.
+    """
+    u_mix = rng.random(n)
+    u_x = rng.random(n)
+    u_c = rng.random(n)
+    contaminated = u_mix < contamination.epsilon
+    x = np.where(contaminated,
+                 burr_quantile_whole(u_x, contamination.theta1, contamination.eta),
+                 burr_quantile_whole(u_x, model.gamma1, model.eta))
+    with np.errstate(over="ignore"):
+        c = (-np.log(np.maximum(u_c, np.finfo(float).tiny))) ** (-model.gamma2)
+    c = np.where(contaminated, np.inf, c)
+    z = np.minimum(x, c)
+    delta = (x <= c).astype(np.int8)
+    return x, c, z, delta
+
+
+def kaplan_meier_every_factor(sample: OrderedSample, x: float) -> float:
+    """Kaplan-Meier survival at x as the product of one factor per order statistic <= x.
+
+    ((n-i)/(n-i+1))^delta_i for i = 1..m: a censored order statistic
+    contributes the factor 1.0.
+    """
+    n = sample.n
+    m = int(np.searchsorted(sample.z_sorted, x, side="right"))
+    if m == 0:
+        return 1.0
+    i = np.arange(1, m + 1)
+    factors = ((n - i) / (n - i + 1.0)) ** sample.delta_concomitant[:m]
+    return float(np.prod(factors))

@@ -1,8 +1,13 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tailcens import OrderedSample, kaplan_meier_survival, mdpd_weights, ordered_from_arrays
+
+from oracles import kaplan_meier_every_factor
 
 
 # Oracles: pointwise Nelson-Aalen survival, the closed-form survival ratio
@@ -74,6 +79,50 @@ def test_km_hand_values():
     assert kaplan_meier_survival(s, 0.5) == 1.0
     # largest observation uncensored exhausts the KM mass
     assert kaplan_meier_survival(s, 3.0) == 0.0
+
+
+def _prod_is_sequential() -> bool:
+    """Whether np.prod multiplies left to right, as a Python loop does."""
+    values = np.random.default_rng(3).uniform(0.5, 1.0, 5000)
+    return float(np.prod(values)) == functools.reduce(operator.mul, values.tolist(), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_km_matches_the_every_factor_product(seed):
+    # ties (times rounded to a coarse grid) and censoring; the censored
+    # factors the library skips are exactly 1.0, so a left-to-right product
+    # gives the same bits; another product order can differ only by the
+    # rounding of m factors
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    z = np.round(rng.pareto(1.5, n) + 1.0, int(rng.integers(0, 3)))
+    s = ordered_from_arrays(z, (rng.random(n) < rng.uniform(0.2, 0.95)).astype(int))
+    queries = np.concatenate([s.z_sorted[rng.integers(0, n, 20)], [s.z_sorted[-1]],
+                              rng.uniform(0.5, s.z_sorted[-1] * 1.5, 10)])
+    sequential = _prod_is_sequential()
+    for x in queries:
+        got, want = kaplan_meier_survival(s, x), kaplan_meier_every_factor(s, x)
+        if sequential:
+            assert got == want, x
+        else:
+            m = int(np.searchsorted(s.z_sorted, x, side="right"))
+            assert got == pytest.approx(want, rel=2.3e-16 * m, abs=0), x
+
+
+def test_km_edge_values():
+    s = ordered_from_arrays([3.0, 1.0, 5.0, 5.0, 2.0, 5.0], [0, 1, 1, 0, 1, 0])
+    # below the smallest observation: the empty product
+    assert kaplan_meier_survival(s, 0.999) == 1.0
+    assert kaplan_meier_survival(s, 1e-300) == 1.0
+    # the top three tie at 5.0 and, in input order, the last of them is
+    # censored: the mass is not exhausted
+    assert kaplan_meier_survival(s, 5.0) == kaplan_meier_every_factor(s, 5.0) > 0.0
+    # every top value tied with the largest, and the largest uncensored
+    tied = ordered_from_arrays([5.0, 1.0, 5.0, 2.0, 5.0], [0, 1, 0, 1, 1])
+    assert tied.delta_concomitant[-1] == 1
+    assert kaplan_meier_survival(tied, 5.0) == 0.0
+    assert kaplan_meier_survival(tied, np.inf) == 0.0
+    assert kaplan_meier_survival(tied, 4.999) == (4 / 5) * (3 / 4)
 
 
 def test_na_hand_values():

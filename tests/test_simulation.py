@@ -23,6 +23,8 @@ from tailcens import (
 )
 from tailcens.simulation import _draw_arrays, _replicate_estimates, _replicate_rng
 
+from oracles import draw_arrays_where
+
 
 def burr_cdf(x, gamma1, eta):
     # 1 - (1 + x^(1/eta))^(-eta/gamma1), in logs so that x^(1/eta) may
@@ -109,6 +111,21 @@ def test_censoring_identity_latent():
     assert z.tobytes() == public_z.tobytes() and d.tobytes() == public_d.tobytes()
     np.testing.assert_allclose(z, np.minimum(x, c))
     np.testing.assert_array_equal(d == 1, x <= c)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("n", [1, 1000, 65_537])
+@pytest.mark.parametrize("epsilon", [0.0, 0.15, 0.4, 0.999999])
+@pytest.mark.parametrize("theta1, eta", [(0.6, 0.25), (5.0, 0.05)])
+def test_draw_arrays_is_byte_equal_to_the_where_formulation(seed, n, epsilon, theta1, eta):
+    # (5.0, 0.05): (1 - u)^(-theta1/eta) overflows for u > 0.9992, so the
+    # contaminant quantile takes its overflow branch at the larger n
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7), eta=eta)
+    cont = ContaminationSpec(epsilon=epsilon, theta1=theta1, eta=eta)
+    got = _draw_arrays(n, model, cont, _replicate_rng(seed, 0))
+    want = draw_arrays_where(n, model, cont, _replicate_rng(seed, 0))
+    for name, a, b in zip(("x", "c", "z", "delta"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_uncontaminated_ks():
