@@ -17,6 +17,7 @@ byte-identical regardless of execution order or worker count.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,34 +198,51 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextmanager
+def _fork_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` forked processes, joined on exit.
+
+    Yields None, for the caller to run its work inline, where one worker
+    is asked for or the platform cannot fork.
+    """
+    if workers > 1:
+        # imported here, so that only pooled work pays for the import
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork: workers inherit the imported modules; a fresh interpreter
+            # per worker would spend ~0.25 s importing numpy and tailcens again
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                yield pool
+            return
+    yield None
+
+
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     """Bias/MSE table over the (k, alpha) grid.
 
     Failures (no root) are excluded from the moments and counted; a cell
     where every replicate failed is reported with NaN metrics.  Replicates
-    run in min(n_jobs, usable CPUs, replicates) worker processes, each on
-    contiguous replicate ranges; the ranges are concatenated in replicate
-    order, so the result does not depend on n_jobs or scheduling.  Each
+    run in min(n_jobs, usable CPUs, replicates) forked worker processes, or
+    in this process where the platform cannot fork, each on contiguous
+    replicate ranges; the ranges are concatenated in replicate order, so
+    the result does not depend on n_jobs or scheduling.  Each
     cell is solved as in :func:`_replicate_estimates`: a local root scan
     that falls back to the full scan and gives the full scan's root.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")
     workers = min(n_jobs, _usable_cpus(), spec.replicates)
-    if workers == 1:
-        stacked = _replicate_range(spec, 0, spec.replicates)
-    else:
-        # imported here, so that only a pooled sweep pays for the import
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = min(workers * CHUNKS_PER_WORKER, spec.replicates)
-        bounds = [spec.replicates * i // chunks for i in range(chunks + 1)]
-        # fork: workers inherit the imported modules; a fresh interpreter
-        # per worker would spend ~0.25 s importing numpy and tailcens again
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with _fork_pool(workers) as pool:
+        if pool is None:
+            workers = 1
+            stacked = _replicate_range(spec, 0, spec.replicates)
+        else:
+            chunks = min(workers * CHUNKS_PER_WORKER, spec.replicates)
+            bounds = [spec.replicates * i // chunks for i in range(chunks + 1)]
             stacked = np.concatenate(list(pool.map(
                 _replicate_range, [spec] * chunks, bounds[:-1], bounds[1:])))
 

@@ -1,7 +1,9 @@
 """Parity of the bulk dataset reader and writer with the line-by-line versions."""
 
 import contextlib
+import functools
 import io
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -174,20 +176,50 @@ def test_dataset_commands_peak_memory_per_row(tmp_path):
     assert max(per_row.values()) <= PEAK_BYTES_PER_ROW, per_row
 
 
-def test_write_dataset_is_byte_identical_to_the_row_writer():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_write_dataset_is_byte_identical_to_the_row_writer(monkeypatch, workers):
+    # a usable CPU count of 2 runs the pooled writer on any machine
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    block = cli._WRITE_ROWS
     rng = np.random.default_rng(3)
-    times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 65537))
+    times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 5 * block + 3))
     times[:11] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5,
                   0.1, 1.0, 123456789012.5, 1e21, np.inf, np.nan, -0.0]
     statuses = (rng.random(times.size) < 0.6).astype(np.int8)
-    # counts that put the last row on each side of a block edge
-    block = cli._WRITE_ROWS
-    for n in sorted({0, 1, block - 1, block, block + 1, 65535, 65536, 65537}):
+    # counts that put the last row on each side of a block edge; the last
+    # has more blocks than the writer keeps in flight, and a short last
+    # block that is formatted before the full blocks ahead of it
+    for n in sorted({0, 1, block - 1, block, block + 1, 65535, 65536, 65537, 5 * block + 3}):
         got, want = io.StringIO(), io.StringIO()
         write_dataset(times[:n], statuses[:n], got)
         reference_write_dataset(times[:n].tolist(), statuses[:n].tolist(), want)
         assert got.getvalue() == want.getvalue(), n
         assert got.getvalue().count("\n") == n + 1
+
+
+def format_rows_failing_at(marker: str, times: np.ndarray, statuses: np.ndarray) -> str:
+    """The rows of one block, or an error for the block whose first time reads ``marker``."""
+    if _fmt(times[0]) == marker:
+        raise RuntimeError("formatting failed")
+    return "".join(f"{_fmt(t)},{s}\n" for t, s in zip(times.tolist(), statuses.tolist()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_write_is_an_internal_error_and_leaves_no_worker(tmp_path, monkeypatch, capsys,
+                                                                 workers):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    argv = ["synth", "--n", str(3 * cli._WRITE_ROWS), "--gamma1", "0.3", "--p", "0.7",
+            "--output"]
+    good = tmp_path / "good.csv"
+    assert main(argv + [str(good)]) == 0
+    assert multiprocessing.active_children() == []
+    # the first time of the middle block; forked workers inherit the patch,
+    # and the partial of a module-level function pickles by reference
+    marker = good.read_text().splitlines()[1 + cli._WRITE_ROWS].split(",")[0]
+    monkeypatch.setattr(cli, "_format_rows", functools.partial(format_rows_failing_at, marker))
+    assert main(argv + [str(tmp_path / "bad.csv")]) == 2
+    assert "internal error: formatting failed" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def reference_contaminate(times: np.ndarray, statuses: np.ndarray,
