@@ -28,7 +28,7 @@ from .estimators import (EstimationError, SolverOptions, censored_proportion,
                          efg_estimator, hill_gamma, mdpd_estimate,
                          worms_estimator)
 from .sample_model import InvalidSampleError, ModelParams, TailConfig, ordered_from_arrays
-from .simulation import (ContaminationSpec, SweepSpec, _fork_pool, _usable_cpus,
+from .simulation import (ContaminationSpec, SweepSpec, _process_pool, _usable_cpus,
                          gamma2_from_p, run_sweep, sample_contaminated_censored)
 
 # Ten outlier values (and the original times they replaced in the study
@@ -79,6 +79,10 @@ _CHECK_CHARS = 1 << 20
 # block's freed cells and text stay resident in the heap, so 2^16-row
 # blocks left a later estimate's peak ~2.5 MB above that of 2^14
 _WRITE_ROWS = 1 << 14
+# blocks from which write_dataset formats in a worker pool: starting the
+# pool costs ~40 ms, and on 2 CPUs a fresh process's write broke even at
+# ~12 blocks and won from 16 on (BENCH_parallel_write.json)
+_POOL_BLOCKS = 16
 
 
 def _read_text(path: str) -> str:
@@ -161,16 +165,19 @@ def _scan_dataset(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def write_dataset(times: np.ndarray, statuses: np.ndarray, out) -> None:
     """Write a time,status CSV, one write per block of rows; times take the ``_fmt`` format.
 
-    Blocks of ``_WRITE_ROWS`` rows are formatted in up to one forked worker
-    process per usable CPU, at most two blocks per worker in flight, and
-    written in file order as each is ready; with one block, one usable CPU
-    or no fork, in this process.  The text is the same either way.
+    From ``_POOL_BLOCKS`` blocks of ``_WRITE_ROWS`` rows on, the blocks are
+    formatted in up to one forked worker process per usable CPU, at most
+    two blocks per worker in flight, and written in file order as each is
+    ready.  Fewer blocks, one usable CPU, no fork or a daemonic caller
+    format them in this process.  The text is the same either way.
     """
     out.write("time,status\n")
     starts = range(0, len(times), _WRITE_ROWS)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(_usable_cpus(), len(starts)) if len(starts) >= _POOL_BLOCKS else 1
     pending = deque()
-    with _fork_pool(workers) as pool:
+    # fork only: a spawned worker's imports (~0.25 s) would cost more than
+    # the pool saves at n = 10^6
+    with _process_pool(workers, fork_only=True) as pool:
         for start in starts:
             block = times[start:start + _WRITE_ROWS], statuses[start:start + _WRITE_ROWS]
             if pool is None:

@@ -199,23 +199,27 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _fork_pool(workers: int):
-    """A ``ProcessPoolExecutor`` of ``workers`` forked processes, joined on exit.
+def _process_pool(workers: int, fork_only: bool = False):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes, joined on exit.
 
-    Yields None, for the caller to run its work inline, where one worker
-    is asked for or the platform cannot fork.
+    The workers are forked where the platform can fork, and started by its
+    default method otherwise.  Yields None, for the caller to run its work
+    inline, where one worker is asked for, where this process is a daemon
+    (which may not start children), or where ``fork_only`` is set and the
+    platform cannot fork.
     """
     if workers > 1:
         # imported here, so that only pooled work pays for the import
         import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
+        can_fork = "fork" in multiprocessing.get_all_start_methods()
+        if not multiprocessing.current_process().daemon and (can_fork or not fork_only):
             from concurrent.futures import ProcessPoolExecutor
 
             # fork: workers inherit the imported modules; a fresh interpreter
             # per worker would spend ~0.25 s importing numpy and tailcens again
-            with ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            context = multiprocessing.get_context("fork" if can_fork else None)
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 yield pool
             return
     yield None
@@ -226,17 +230,17 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
 
     Failures (no root) are excluded from the moments and counted; a cell
     where every replicate failed is reported with NaN metrics.  Replicates
-    run in min(n_jobs, usable CPUs, replicates) forked worker processes, or
-    in this process where the platform cannot fork, each on contiguous
-    replicate ranges; the ranges are concatenated in replicate order, so
-    the result does not depend on n_jobs or scheduling.  Each
+    run in min(n_jobs, usable CPUs, replicates) worker processes, or in
+    this process where it is a daemon, each on contiguous replicate
+    ranges; the ranges are concatenated in replicate order, so the result
+    does not depend on n_jobs or scheduling.  Each
     cell is solved as in :func:`_replicate_estimates`: a local root scan
     that falls back to the full scan and gives the full scan's root.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")
     workers = min(n_jobs, _usable_cpus(), spec.replicates)
-    with _fork_pool(workers) as pool:
+    with _process_pool(workers) as pool:
         if pool is None:
             workers = 1
             stacked = _replicate_range(spec, 0, spec.replicates)

@@ -11,6 +11,7 @@ import pytest
 
 from tailcens import cli
 from tailcens.cli import CliError, _fmt, main, read_dataset, write_dataset
+from tailcens.simulation import _process_pool as process_pool
 
 
 def reference_read_dataset(path: str) -> tuple[list[float], list[int]]:
@@ -178,8 +179,10 @@ def test_dataset_commands_peak_memory_per_row(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_write_dataset_is_byte_identical_to_the_row_writer(monkeypatch, workers):
-    # a usable CPU count of 2 runs the pooled writer on any machine
+    # a usable CPU count of 2 runs the pooled writer on any machine, and
+    # from two blocks on
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
     block = cli._WRITE_ROWS
     rng = np.random.default_rng(3)
     times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 5 * block + 3))
@@ -208,6 +211,7 @@ def format_rows_failing_at(marker: str, times: np.ndarray, statuses: np.ndarray)
 def test_failed_write_is_an_internal_error_and_leaves_no_worker(tmp_path, monkeypatch, capsys,
                                                                  workers):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
     argv = ["synth", "--n", str(3 * cli._WRITE_ROWS), "--gamma1", "0.3", "--p", "0.7",
             "--output"]
     good = tmp_path / "good.csv"
@@ -220,6 +224,71 @@ def test_failed_write_is_an_internal_error_and_leaves_no_worker(tmp_path, monkey
     assert main(argv + [str(tmp_path / "bad.csv")]) == 2
     assert "internal error: formatting failed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+def test_write_dataset_pools_from_the_cut_over(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    asked = []
+
+    def recording_pool(workers, fork_only=False):
+        asked.append((workers, fork_only))
+        return process_pool(workers, fork_only)
+
+    monkeypatch.setattr(cli, "_process_pool", recording_pool)
+    for blocks in (1, cli._POOL_BLOCKS - 1, cli._POOL_BLOCKS):
+        n = blocks * cli._WRITE_ROWS
+        write_dataset(np.ones(n), np.ones(n, dtype=np.int8), io.StringIO())
+    assert asked == [(1, True), (1, True), (2, True)]
+
+
+def inline_blocks(monkeypatch) -> list[int]:
+    """Patch ``_format_rows`` to list the blocks it formats in this process."""
+    formatted = []
+    format_rows = cli._format_rows
+
+    def recording_format_rows(times, statuses):
+        formatted.append(times.size)
+        return format_rows(times, statuses)
+
+    monkeypatch.setattr(cli, "_format_rows", recording_format_rows)
+    return formatted
+
+
+def test_write_dataset_formats_inline_where_the_platform_cannot_fork(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    formatted = inline_blocks(monkeypatch)
+    n = 3 * cli._WRITE_ROWS
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset(np.full(n, 2.5), np.ones(n, dtype=np.int8), got)
+    reference_write_dataset([2.5] * n, [1] * n, want)
+    assert got.getvalue() == want.getvalue()
+    assert formatted == [cli._WRITE_ROWS] * 3
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the daemon is forked to inherit the patches")
+def test_write_dataset_in_a_daemon_process_formats_inline(tmp_path, monkeypatch):
+    # a daemon may not start children, so a pool there would raise
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
+    n = 3 * cli._WRITE_ROWS
+    times = np.random.default_rng(5).pareto(2.0, n) + 1.0
+    statuses = np.ones(n, dtype=np.int8)
+    path = tmp_path / "daemon.csv"
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            write_dataset(times, statuses, fh)
+
+    child = multiprocessing.get_context("fork").Process(target=write, daemon=True)
+    child.start()
+    child.join()
+    assert child.exitcode == 0
+    want = io.StringIO()
+    reference_write_dataset(times.tolist(), statuses.tolist(), want)
+    assert path.read_text(encoding="utf-8") == want.getvalue()
 
 
 def reference_contaminate(times: np.ndarray, statuses: np.ndarray,

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import warnings
 
@@ -21,6 +22,7 @@ from tailcens import (
     run_sweep,
     sample_contaminated_censored,
 )
+from tailcens import simulation
 from tailcens.simulation import _draw_arrays, _replicate_estimates, _replicate_rng
 
 from oracles import draw_arrays_where
@@ -245,6 +247,34 @@ def test_sweep_pooled_uses_two_workers_and_matches_serial():
     pooled = run_sweep(spec, n_jobs=2)
     assert (serial.workers, pooled.workers) == (1, 2)
     assert pooled.rows == serial.rows
+
+
+def test_sweep_pools_where_the_platform_cannot_fork(monkeypatch):
+    # without fork the sweep still pools, by the default start method
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    spec = make_spec(replicates=4)
+    pooled = run_sweep(spec, n_jobs=2)
+    assert pooled.workers == 2
+    assert pooled.rows == run_sweep(spec, n_jobs=1).rows
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the daemon is forked to inherit the serial rows")
+def test_sweep_in_a_daemon_process_runs_inline(monkeypatch):
+    # a daemon may not start children, so a pool there would raise
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    spec = make_spec(replicates=4)
+    serial = run_sweep(spec, n_jobs=1)
+
+    def sweep():
+        result = run_sweep(spec, n_jobs=2)
+        assert (result.workers, result.rows) == (1, serial.rows)
+
+    child = multiprocessing.get_context("fork").Process(target=sweep, daemon=True)
+    child.start()
+    child.join()
+    assert child.exitcode == 0
 
 
 def test_sweep_workers_capped_and_validated():
