@@ -1,12 +1,10 @@
 """Robust tail index estimation for randomly right-censored heavy-tailed data."""
 
 from .asymptotics import (
-    AsymptoticConstants,
     GaussianOracleConfig,
     asymptotic_ci,
     eta_star,
     mu,
-    phi_star,
     sigma_squared,
     sigma_squared_mc,
 )
@@ -20,7 +18,6 @@ from .estimators import (
     MdpdWindow,
     NoRootError,
     SolverOptions,
-    censored_proportion,
     efg_estimator,
     hill_gamma,
     mdpd_estimate,
@@ -50,12 +47,10 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants", "GaussianOracleConfig", "asymptotic_ci", "eta_star",
-    "mu", "phi_star", "sigma_squared", "sigma_squared_mc",
-    "kaplan_meier_survival", "mdpd_weights",
+    "GaussianOracleConfig", "asymptotic_ci", "eta_star", "mu", "sigma_squared",
+    "sigma_squared_mc", "kaplan_meier_survival", "mdpd_weights",
     "EstimateResult", "EstimationError", "MdpdWindow", "NoRootError", "SolverOptions",
-    "censored_proportion", "efg_estimator", "hill_gamma", "mdpd_estimate",
-    "mns_estimator", "worms_estimator",
+    "efg_estimator", "hill_gamma", "mdpd_estimate", "mns_estimator", "worms_estimator",
     "InvalidSampleError", "ModelParams", "OrderedSample", "TailConfig",
     "order_sample", "ordered_from_arrays", "top_log_excesses",
     "ContaminationSpec", "SweepResult", "SweepSpec", "burr_quantile",

@@ -2,7 +2,7 @@
 
 The limiting normal law of the estimator involves three constants: the
 curvature eta_star, the bias coefficient mu and the variance sigma2.  Their
-integrands, like phi_star's, are finite sums of powers and logs, so all
+integrands, like _phi_star's, are finite sums of powers and logs, so all
 have exact closed forms; sigma2 also has a Gaussian-process Monte Carlo route.
 Each of its replicates is a fixed-weight sum of independent normals, so by
 the Ito isometry on its grid it is drawn exactly in law as one N(0, v).
@@ -37,7 +37,7 @@ def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float
     return scale, a_lin, b_lin, decay
 
 
-def phi_star(x, alpha: float, gamma1: float):
+def _phi_star(x, alpha: float, gamma1: float):
     """Tail integral int_x^inf t^(-1/gamma1) phi(t) dt, in closed form.
 
     The integrand is t^(-c) (A - B log t) with c = (1+alpha)(1+gamma1)/gamma1,
@@ -141,11 +141,11 @@ def sigma_squared(alpha: float, gamma1: float, gamma2: float) -> float:
     :func:`_g_moments` gives exactly:
 
         sigma2 = p*int_0^1 G1^2 ds + (q/gamma1^2)*int_0^1 G2^2 ds
-                 - 2*a*p*int_0^1 G1 ds + p*a^2,   a = phi_star(1).
+                 - 2*a*p*int_0^1 G1 ds + p*a^2,   a = _phi_star(1).
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     p, q, gamma = model.p, model.q, model.gamma
-    a_const = float(phi_star(1.0, alpha, gamma1))
+    a_const = float(_phi_star(1.0, alpha, gamma1))
     psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
     mean1, square1 = _g_moments(psi1_terms, gamma)
     square2 = _g_moments(psi2_terms, gamma)[1]
@@ -179,7 +179,7 @@ def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
     psi_m(x) dx is built cell by cell in x = s^-gamma with 8-point
     Gauss-Legendre, from the power-log term lists evaluated as
     sum c * exp(e*log x) * (log x)^m.  Returns (ds, G1, G2, a) with the
-    cell widths ds and a = phi_star(1).
+    cell widths ds and a = _phi_star(1).
     """
     psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
     m = config.grid_points
@@ -197,7 +197,7 @@ def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
         return np.cumsum((half * (psi @ wts))[::-1])[::-1]
 
     return (np.diff(s), g_at_midpoints(psi1_terms), g_at_midpoints(psi2_terms),
-            float(phi_star(1.0, alpha, gamma1)))
+            float(_phi_star(1.0, alpha, gamma1)))
 
 
 def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
@@ -230,23 +230,6 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     # variance of a sample variance of Gaussian draws
     stderr = estimate * np.sqrt(2.0 / (r - 1))
     return estimate, float(stderr)
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    alpha: float
-    model: ModelParams
-    eta_star: float
-    mu: float
-    sigma2: float
-
-    @classmethod
-    def compute(cls, alpha: float, model: ModelParams) -> "AsymptoticConstants":
-        return cls(
-            alpha=alpha, model=model,
-            eta_star=eta_star(alpha, model.gamma1),
-            mu=mu(alpha, model.gamma1, model.tau1),
-            sigma2=sigma_squared(alpha, model.gamma1, model.gamma2))
 
 
 def asymptotic_ci(gamma1_hat: float, alpha: float, k: int,

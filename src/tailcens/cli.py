@@ -16,6 +16,7 @@ decimals and LF line endings.  Exit codes: 0 success, 1 user error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import deque
 from contextlib import contextmanager
@@ -24,9 +25,8 @@ import numpy as np
 
 from .asymptotics import (GaussianOracleConfig, eta_star, mu, sigma_squared,
                           sigma_squared_mc)
-from .estimators import (EstimationError, SolverOptions, censored_proportion,
-                         efg_estimator, hill_gamma, mdpd_estimate,
-                         worms_estimator)
+from .estimators import (EstimationError, SolverOptions, efg_estimator, hill_gamma,
+                         mdpd_estimate, worms_estimator)
 from .sample_model import InvalidSampleError, ModelParams, TailConfig, ordered_from_arrays
 from .simulation import (ContaminationSpec, SweepSpec, _process_pool, _usable_cpus,
                          gamma2_from_p, run_sweep, sample_contaminated_censored)
@@ -202,10 +202,34 @@ def _format_rows(times: np.ndarray, statuses: np.ndarray) -> str:
     return "%.12g,%d\n" * len(block) % tuple(cells)
 
 
+@contextmanager
+def _output_file(path: str):
+    """Open path for writing; a failure leaves no partial file there.
+
+    A new file beside path, made by a plain ``open`` and so of the usual
+    mode, is renamed to path on success and removed on failure.  A symlink
+    is followed; a device or a pipe is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _write_output(times: np.ndarray, statuses: np.ndarray, path: str | None) -> None:
     """``write_dataset`` to the file at path (``--output``), or to stdout without one."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _output_file(path) as fh:
             write_dataset(times, statuses, fh)
     else:
         write_dataset(times, statuses, sys.stdout)
@@ -348,15 +372,13 @@ def build_sweep_spec(values: dict, replicates_override: int | None = None,
         seed = seed_override
     with _argument_errors():
         model = ModelParams(gamma1=gamma1, gamma2=gamma2_from_p(gamma1, p), eta=eta)
-        contamination = ContaminationSpec(epsilon=epsilon, theta1=theta1, eta=eta)
+        contamination = ContaminationSpec(epsilon=epsilon, theta1=theta1)
         return SweepSpec(n=n, replicates=replicates, model=model,
                          contamination=contamination, alphas=alphas,
                          k_grid=tuple(range(k_min, k_max + 1, k_step)), seed=seed)
 
 
 def cmd_sweep(args) -> int:
-    import os
-
     if args.threads < 1:
         raise CliError("--threads must be >= 1")
     values = parse_sweep_config(args.config)
@@ -367,7 +389,7 @@ def cmd_sweep(args) -> int:
 
     os.makedirs(args.output_dir, exist_ok=True)
     main_path = os.path.join(args.output_dir, "sweep.csv")
-    with open(main_path, "w", encoding="utf-8", newline="") as fh:
+    with _output_file(main_path) as fh:
         fh.write("k,alpha,abs_bias,mse,n_failures\n")
         for k, alpha, abs_bias, mse, failures in result.rows:
             fh.write(f"{k},{_fmt(alpha)},{_fmt(abs_bias)},{_fmt(mse)},{failures}\n")
@@ -381,7 +403,7 @@ def cmd_sweep(args) -> int:
         os.path.join(args.output_dir, f"mse_eps{eps:.2f}.csv"): 1,
     }
     for path, which in panels.items():
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _output_file(path) as fh:
             fh.write(header + "\n")
             for k in spec.k_grid:
                 cells = ",".join(_fmt(by_cell[(k, a)][which]) for a in spec.alphas)
@@ -423,7 +445,7 @@ def _emit_svg(path: str, spec: SweepSpec, by_cell: dict, which: int) -> None:
         parts.append(f'<text x="{width-pad+4}" y="{pad+14*idx+10}" font-size="11" '
                      f'fill="{color}">a={_fmt(alpha)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output_file(path) as fh:
         fh.write("\n".join(parts) + "\n")
 
 
@@ -456,8 +478,7 @@ def cmd_synth(args) -> int:
     with _argument_errors():
         model = ModelParams(gamma1=args.gamma1, gamma2=gamma2_from_p(args.gamma1, args.p),
                             eta=args.eta)
-        contamination = ContaminationSpec(epsilon=args.epsilon, theta1=args.theta1,
-                                          eta=args.eta)
+        contamination = ContaminationSpec(epsilon=args.epsilon, theta1=args.theta1)
     times, statuses = sample_contaminated_censored(args.n, model, contamination,
                                                    seed=args.seed)
     with np.errstate(over="ignore"):  # overflow to inf is caught just below

@@ -7,8 +7,8 @@ tuning parameter alpha > 0 is the root of the estimating equation
     sum_i a_ik (g - L_i) r_i^{-alpha (1 + 1/g)}  =  alpha g (g+1) / (1 + alpha + alpha g)^2
 
 with r_i the top relative excesses, L_i = log r_i, and a_ik the
-Nelson-Aalen weight sequence.  At alpha = 0 the family reduces exactly to
-the MNS estimator.
+Nelson-Aalen weight sequence.  At alpha = 0 the estimate is MNS, sum_i a_ik L_i,
+not the alpha -> 0+ limit of the roots, sum_i a_ik L_i / sum_i a_ik.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def hill_gamma(sample: OrderedSample, k: int) -> float:
     return value
 
 
-def censored_proportion(sample: OrderedSample, k: int) -> float:
+def _uncensored_fraction(sample: OrderedSample, k: int) -> float:
     """Proportion of uncensored observations among the k largest."""
     _, deltas = top_log_excesses(sample, k)
     return float(np.mean(deltas))
@@ -149,7 +149,7 @@ def censored_proportion(sample: OrderedSample, k: int) -> float:
 
 def efg_estimator(sample: OrderedSample, k: int) -> float:
     """Hill estimator adapted for censoring: Hill / p_hat."""
-    p_hat = censored_proportion(sample, k)
+    p_hat = _uncensored_fraction(sample, k)
     if p_hat == 0.0:
         raise EstimationError("all top observations censored")
     return hill_gamma(sample, k) / p_hat
@@ -220,7 +220,7 @@ class MdpdWindow:
 
     @cached_property
     def reference(self) -> float:
-        """MNS estimate of the window, which is also the alpha = 0 solution."""
+        """MNS estimate of the window, which is also its alpha = 0 estimate."""
         return mns_estimator(self.sample, self.k)
 
     def _residuals(self, g: np.ndarray, alpha: float) -> np.ndarray:
@@ -350,9 +350,9 @@ def mdpd_estimate(sample: OrderedSample, config: TailConfig,
     geometric grid over the search domain is scanned for sign changes,
     every bracket is refined by Brent's method, roots whose residual
     exceeds ``options.tol_abs`` are rejected, and the root closest to the
-    MNS estimate (the alpha = 0 solution) is reported; all accepted roots
-    are kept in the result diagnostics.  To solve one window at several
-    alphas, build one :class:`MdpdWindow` and call its ``estimate``.
+    MNS estimate is reported; all accepted roots are kept in the result
+    diagnostics.  To solve one window at several alphas, build one
+    :class:`MdpdWindow` and call its ``estimate``.
     """
     config.check_against(sample.n)
     return MdpdWindow(sample, config.k).estimate(config.alpha, options)

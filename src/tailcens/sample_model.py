@@ -79,22 +79,19 @@ class TailConfig:
 class ModelParams:
     """True model parameters for simulation and asymptotic constants.
 
-    gamma1 is the lifetime tail index, gamma2 the censoring tail index,
-    eta the Burr shape and tau1 the (nonpositive) second-order parameter.
+    gamma1 is the lifetime tail index, gamma2 the censoring tail index and
+    eta the Burr shape of the lifetimes and of their contaminants.
     """
 
     gamma1: float
     gamma2: float
     eta: float = 0.25
-    tau1: float = 0.0
 
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ValueError("gamma1 and gamma2 must be positive")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.tau1 > 0:
-            raise ValueError("tau1 must be nonpositive")
 
     @property
     def p(self) -> float:

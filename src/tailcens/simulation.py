@@ -3,11 +3,11 @@
 Clean lifetimes are Burr(gamma1, eta); censoring times are
 Frechet(gamma2) with gamma2 chosen from the target uncensored proportion
 p via gamma2 = p*gamma1/(1-p).  An epsilon-contaminated sample records,
-with probability eps, a gross observation drawn from Burr(theta1, eta)
-in place of the censored pair: contaminants are corrupted recorded
-values, so they carry delta = 1 and are not subject to the censoring
-mechanism (at eps = 1 the sample is exactly Burr(theta1, eta)).  Only
-Z = min(X, C) and delta = 1{X <= C} are handed to the estimators.
+with probability eps, a gross observation drawn from Burr(theta1, eta),
+the same eta, in place of the censored pair: contaminants are corrupted
+recorded values, so they carry delta = 1 and are not subject to the
+censoring mechanism (at eps = 1 the sample is exactly Burr(theta1, eta)).
+Only Z = min(X, C) and delta = 1{X <= C} are handed to the estimators.
 
 Reproducibility: every replicate draws from its own Philox substream
 spawned deterministically from (seed, replicate_index), so results are
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import EstimationError, MdpdWindow
-from .sample_model import ModelParams, ordered_from_arrays
+from .sample_model import InvalidSampleError, ModelParams, ordered_from_arrays
 
 # Contiguous replicate ranges handed to each worker process: more than one
 # per worker, so a worker that finishes early picks up another range.
@@ -74,17 +74,16 @@ def gamma2_from_p(gamma1: float, p: float) -> float:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Mixture contamination: fraction epsilon drawn from Burr(theta1, eta)."""
+    """Mixture contamination: fraction epsilon drawn from Burr(theta1, ModelParams.eta)."""
 
     epsilon: float = 0.0
     theta1: float = 1.0
-    eta: float = 0.25
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon={self.epsilon} must lie in [0, 1)")
-        if self.theta1 <= 0 or self.eta <= 0:
-            raise ValueError("theta1 and eta must be positive")
+        if self.theta1 <= 0:
+            raise ValueError("theta1 must be positive")
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -99,12 +98,13 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
     The uniforms come from the stream in the order u_mix, u_x, u_c, each
     n long; each is dropped once used, and the contaminant quantile is
     evaluated on the contaminated rows only, so no full-length array is
-    kept that the result does not need.
+    kept that the result does not need.  Raises InvalidSampleError where a
+    censoring time underflows to 0, which only a p close to 1 gives.
     """
     contaminated = rng.random(n) < contamination.epsilon
     u_x = rng.random(n)
     x = burr_quantile(u_x, model.gamma1, model.eta)
-    x[contaminated] = burr_quantile(u_x[contaminated], contamination.theta1, contamination.eta)
+    x[contaminated] = burr_quantile(u_x[contaminated], contamination.theta1, model.eta)
     del u_x
     u_c = rng.random(n)
     # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
@@ -114,6 +114,9 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
     # censored (this, not censoring the contaminant draw, reproduces the
     # robustness orderings the sweep is meant to exhibit)
     c[contaminated] = np.inf
+    if c.min() == 0.0:
+        raise InvalidSampleError(f"a censoring time underflows to 0 at p={model.p:.12g} "
+                                 f"(gamma2={model.gamma2:.12g}); choose a smaller p")
     z = np.minimum(x, c)
     delta = (x <= c).astype(np.int8)
     return x, c, z, delta
@@ -162,7 +165,6 @@ class SweepResult:
     """Per-(k, alpha) absolute bias and MSE with failure counts."""
 
     rows: tuple[tuple, ...]  # (k, alpha, abs_bias, mse, n_failures)
-    spec: SweepSpec = field(repr=False, default=None)
     workers: int = 1  # worker processes actually used
 
 
@@ -264,4 +266,4 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
                 abs_bias = float(abs(np.mean(errors)))
                 mse = float(np.mean(errors ** 2))
                 rows.append((k, alpha, abs_bias, mse, failures))
-    return SweepResult(rows=tuple(rows), spec=spec, workers=workers)
+    return SweepResult(rows=tuple(rows), workers=workers)

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from tailcens import ContaminationSpec, MdpdWindow, ModelParams, OrderedSample, TailConfig
 from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_coeffs,
-                                  _psi_term_lists, phi_star)
+                                  _phi_star, _psi_term_lists)
 
 _QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
 
@@ -70,7 +70,7 @@ def sigma_squared_quad(alpha: float, gamma1: float, gamma2: float) -> float:
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     p, q, gamma = model.p, model.q, model.gamma
-    a_const = float(phi_star(1.0, alpha, gamma1))
+    a_const = float(_phi_star(1.0, alpha, gamma1))
     psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
 
     def g_damped(terms, t: float) -> float:
@@ -151,7 +151,7 @@ def draw_arrays_where(n: int, model: ModelParams, contamination: ContaminationSp
     u_c = rng.random(n)
     contaminated = u_mix < contamination.epsilon
     x = np.where(contaminated,
-                 burr_quantile_whole(u_x, contamination.theta1, contamination.eta),
+                 burr_quantile_whole(u_x, contamination.theta1, model.eta),
                  burr_quantile_whole(u_x, model.gamma1, model.eta))
     with np.errstate(over="ignore"):
         c = (-np.log(np.maximum(u_c, np.finfo(float).tiny))) ** (-model.gamma2)

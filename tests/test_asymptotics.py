@@ -14,17 +14,16 @@ from scipy import stats
 from scipy.integrate import quad
 
 from tailcens import (
-    AsymptoticConstants,
     GaussianOracleConfig,
     ModelParams,
     asymptotic_ci,
     eta_star,
     mu,
-    phi_star,
     sigma_squared,
     sigma_squared_mc,
 )
-from tailcens.asymptotics import _check_variance_domain, _g_on_grid, _psi_term_lists
+from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_star,
+                                  _psi_term_lists)
 
 from oracles import mu_quad, phi, sigma2_mc_gaussian_path, sigma_squared_quad
 
@@ -164,10 +163,10 @@ def test_phi_hand_values():
 
 
 def test_phi_star_hand_value():
-    assert phi_star(1.0, 1.0, 1.0) == pytest.approx(7 / 9)
-    assert abs(phi_star(1e8, 1.0, 1.0)) < 1e-20
+    assert _phi_star(1.0, 1.0, 1.0) == pytest.approx(7 / 9)
+    assert abs(_phi_star(1e8, 1.0, 1.0)) < 1e-20
     with pytest.raises(ValueError):
-        phi_star(0.9, 1.0, 1.0)
+        _phi_star(0.9, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha,gamma1", [
@@ -178,7 +177,7 @@ def test_phi_star_hand_value():
 def test_phi_star_matches_quadrature(alpha, gamma1, x):
     val, _ = quad(lambda t: t ** (-1 / gamma1) * phi(t, alpha, gamma1),
                   x, np.inf, limit=200)
-    assert phi_star(x, alpha, gamma1) == pytest.approx(val, rel=1e-8)
+    assert _phi_star(x, alpha, gamma1) == pytest.approx(val, rel=1e-8)
 
 
 def test_phi_absolutely_integrable():
@@ -246,12 +245,10 @@ def test_mu_vanishes_for_strong_second_order():
     assert values[2] == pytest.approx(values[1] / 10, rel=0.5)
 
 
-def test_mu_and_constants_raise_no_warning_for_negative_tau1():
+def test_mu_raises_no_warning_for_negative_tau1():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert mu(0.5, 0.3, -0.5) > 0
-        constants = AsymptoticConstants.compute(0.5, ModelParams(0.3, 0.7, tau1=-0.5))
-    assert constants.mu == mu(0.5, 0.3, -0.5)
 
 
 @pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID + CONSTANTS_GRID)
@@ -282,8 +279,6 @@ def test_sigma_squared_near_the_variance_domain_edge(alpha, rel):
     gamma2 = p * gamma1 / (1 - p)
     expected = sigma2_exact(alpha, gamma1, gamma2)
     assert sigma_squared(alpha, gamma1, gamma2) == pytest.approx(expected, rel=rel)
-    constants = AsymptoticConstants.compute(alpha, ModelParams(gamma1, gamma2))
-    assert constants.sigma2 == sigma_squared(alpha, gamma1, gamma2)
 
 
 @pytest.mark.parametrize("gamma2", [2.0, 2 * (1 + 1e-12), 2 * (1 - 1e-12), 2 * (1 + 1e-8),

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from tailcens import cli
 from tailcens.cli import (DEFAULT_OUTLIER_TABLE, CliError, main,
                           parse_sweep_config, read_dataset)
 
@@ -432,3 +433,46 @@ def test_undecodable_input_is_a_user_error(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert code == 1
     assert err.startswith(f"error: cannot read {bad}")
+
+
+UNDERFLOW_ERROR = ("error: a censoring time underflows to 0 at p=0.999 (gamma2=299.7); "
+                   "choose a smaller p")
+
+
+def test_synth_where_a_censoring_time_underflows_names_p(tmp_path, capsys):
+    # gamma2 = 299.7: the Frechet time underflows to 0 for a uniform below ~6e-6
+    out = tmp_path / "d.csv"
+    code, stdout, err = run_cli(capsys, "synth", "--n", "100000", "--gamma1", "0.3",
+                                "--p", "0.999", "--output", str(out))
+    assert code == 1
+    assert err.strip() == UNDERFLOW_ERROR
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_sweep_where_a_censoring_time_underflows_names_p(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 200000\ngamma1 = 0.3\np = 0.999\nreplicates = 1\n"
+                   "alphas = 0.5\nk_min = 100\nk_max = 100\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out),
+                                "--seed", seed)
+    assert code == 1
+    assert err.strip() == UNDERFLOW_ERROR
+    assert stdout == "" and not out.exists()
+
+
+def test_failed_sweep_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\nk_min = 10\n"
+                   "k_max = 10\n")
+    out = tmp_path / "o"
+
+    def failing_fmt(value):
+        raise RuntimeError("formatting failed")
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    code, _, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out))
+    assert code == 2
+    assert err.strip() == "internal error: formatting failed"
+    assert os.listdir(out) == []

@@ -4,6 +4,8 @@ import contextlib
 import functools
 import io
 import multiprocessing
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -217,13 +219,43 @@ def test_failed_write_is_an_internal_error_and_leaves_no_worker(tmp_path, monkey
     good = tmp_path / "good.csv"
     assert main(argv + [str(good)]) == 0
     assert multiprocessing.active_children() == []
+    text = good.read_text()
     # the first time of the middle block; forked workers inherit the patch,
     # and the partial of a module-level function pickles by reference
-    marker = good.read_text().splitlines()[1 + cli._WRITE_ROWS].split(",")[0]
+    marker = text.splitlines()[1 + cli._WRITE_ROWS].split(",")[0]
     monkeypatch.setattr(cli, "_format_rows", functools.partial(format_rows_failing_at, marker))
     assert main(argv + [str(tmp_path / "bad.csv")]) == 2
     assert "internal error: formatting failed" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+    # no partial file, at the path or beside it; a file already there is kept
+    assert main(argv + [str(good)]) == 2
+    assert os.listdir(tmp_path) == ["good.csv"] and good.read_text() == text
+
+
+def test_output_file_gets_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    out = tmp_path / "d.csv"
+    assert main(["synth", "--n", "10", "--gamma1", "0.3", "--p", "0.7", "--output", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["d.csv"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["synth", "--n", "10", "--gamma1", "0.3", "--p", "0.7", "--output", str(link)]) == 0
+    assert link.is_symlink() and target.read_text().startswith("time,status\n")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull),
+                    reason="needs a null device")
+def test_output_to_a_device_is_written_in_place():
+    assert main(["synth", "--n", "10", "--gamma1", "0.3", "--p", "0.7",
+                 "--output", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
 
 
 def test_write_dataset_pools_from_the_cut_over(monkeypatch):

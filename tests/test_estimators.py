@@ -15,7 +15,6 @@ from tailcens import (
     OrderedSample,
     SolverOptions,
     TailConfig,
-    censored_proportion,
     efg_estimator,
     gamma2_from_p,
     hill_gamma,
@@ -27,6 +26,7 @@ from tailcens import (
     top_log_excesses,
     worms_estimator,
 )
+from tailcens.estimators import _uncensored_fraction
 
 from oracles import mdpd_residual
 
@@ -69,10 +69,10 @@ def test_hill_degenerate():
         hill_gamma(s, 2)
 
 
-def test_censored_proportion():
+def test_uncensored_fraction():
     s = ordered_from_arrays([1, 2, 3, 4, 5], [0, 1, 0, 1, 1])
-    assert censored_proportion(s, 4) == pytest.approx(0.75)
-    assert censored_proportion(s, 2) == 1.0
+    assert _uncensored_fraction(s, 4) == pytest.approx(0.75)
+    assert _uncensored_fraction(s, 2) == 1.0
 
 
 def test_efg(toy):
@@ -602,3 +602,30 @@ def test_brentq_port_is_scipy_on_sweep_windows(monkeypatch):
     assert len(port) == 1800 and len(port_calls) >= 1800
     assert port == scipy
     assert port_calls == scipy_calls
+
+
+# twelve windows of contaminated, censored samples: the Nelson-Aalen weights
+# of each sum to 1.01-1.04, so MNS and the normalised weighted mean differ
+SEEDED_WINDOWS = [(seed, 50 + 25 * seed) for seed in range(12)]
+
+
+def seeded_sample(seed: int) -> OrderedSample:
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7))
+    return ordered_from_arrays(*sample_contaminated_censored(
+        1000, model, ContaminationSpec(epsilon=0.1, theta1=0.6), seed=seed))
+
+
+@pytest.mark.parametrize("seed, k", SEEDED_WINDOWS)
+def test_window_reference_is_the_dot_of_its_weights_and_log_excesses(seed, k):
+    window = MdpdWindow(seeded_sample(seed), k)
+    assert window.reference == float(np.dot(window.weights, window.log_exc))
+
+
+@pytest.mark.parametrize("seed, k", SEEDED_WINDOWS)
+def test_small_alpha_tends_to_the_normalised_weighted_mean_not_to_mns(seed, k):
+    sample = seeded_sample(seed)
+    weights, (log_exc, _) = mdpd_weights(sample, k), top_log_excesses(sample, k)
+    limit = float(np.dot(weights, log_exc) / np.sum(weights))
+    assert abs(mdpd_estimate(sample, TailConfig(k, 1e-6)).gamma1_hat - limit) < 1e-5
+    # alpha = 0 is MNS, sum a_ik L_i, which is not that limit
+    assert abs(mdpd_estimate(sample, TailConfig(k, 0.0)).gamma1_hat - limit) > 1e-3

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from tailcens import gamma2_from_p, mu, sigma_squared
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -10,7 +12,8 @@ def test_readme_python_examples_run():
     namespace: dict = {}
     for block in blocks:  # later blocks use names the earlier ones define
         exec(compile(block, str(README), "exec"), namespace)
-    constants = namespace["constants"]
-    assert constants.alpha == 0.5 and constants.sigma2 > 0
+    # the example's model: gamma1 = 0.3, p = 0.7 and the default eta = 0.25
+    assert namespace["sigma2"] == sigma_squared(0.5, 0.3, gamma2_from_p(0.3, 0.7)) > 0
+    assert namespace["bias"] == mu(0.5, 0.3, -1.2)
     lo, hi = namespace["lo"], namespace["hi"]
     assert lo < namespace["result"].gamma1_hat < hi

@@ -163,7 +163,7 @@ def test_model_params_derived():
     with pytest.raises(ValueError):
         ModelParams(gamma1=-1, gamma2=1)
     with pytest.raises(ValueError):
-        ModelParams(gamma1=1, gamma2=1, tau1=0.5)
+        ModelParams(gamma1=1, gamma2=1, eta=0)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=1e6),

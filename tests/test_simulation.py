@@ -18,11 +18,11 @@ from tailcens import (
     gamma2_from_p,
     order_sample,
     ordered_from_arrays,
-    censored_proportion,
     run_sweep,
     sample_contaminated_censored,
 )
 from tailcens import simulation
+from tailcens.estimators import _uncensored_fraction
 from tailcens.simulation import _draw_arrays, _replicate_estimates, _replicate_rng
 
 from oracles import draw_arrays_where
@@ -123,7 +123,7 @@ def test_draw_arrays_is_byte_equal_to_the_where_formulation(seed, n, epsilon, th
     # (5.0, 0.05): (1 - u)^(-theta1/eta) overflows for u > 0.9992, so the
     # contaminant quantile takes its overflow branch at the larger n
     model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7), eta=eta)
-    cont = ContaminationSpec(epsilon=epsilon, theta1=theta1, eta=eta)
+    cont = ContaminationSpec(epsilon=epsilon, theta1=theta1)
     got = _draw_arrays(n, model, cont, _replicate_rng(seed, 0))
     want = draw_arrays_where(n, model, cont, _replicate_rng(seed, 0))
     for name, a, b in zip(("x", "c", "z", "delta"), got, want):
@@ -152,7 +152,7 @@ def test_upper_uncensored_proportion_limit():
     props = []
     for seed in range(100):
         obs = sample_contaminated_censored(10_000, model, cont, seed=seed)
-        props.append(censored_proportion(order_sample(obs), 500))
+        props.append(_uncensored_fraction(order_sample(obs), 500))
     assert abs(np.mean(props) - 0.7) < 0.05
 
 
