@@ -16,9 +16,9 @@ decimals and LF line endings.  Exit codes: 0 success, 1 user error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,8 +28,8 @@ from .asymptotics import (GaussianOracleConfig, eta_star, mu, sigma_squared,
 from .estimators import (EstimationError, SolverOptions, efg_estimator, hill_gamma,
                          mdpd_estimate, worms_estimator)
 from .sample_model import InvalidSampleError, ModelParams, TailConfig, ordered_from_arrays
-from .simulation import (ContaminationSpec, SweepSpec, _process_pool, _usable_cpus,
-                         gamma2_from_p, run_sweep, sample_contaminated_censored)
+from .simulation import (ContaminationSpec, SweepSpec, gamma2_from_p, run_sweep,
+                         sample_contaminated_censored)
 
 # Ten outlier values (and the original times they replaced in the study
 # that motivated this workflow), largest original -> largest replacement.
@@ -79,10 +79,6 @@ _CHECK_CHARS = 1 << 20
 # block's freed cells and text stay resident in the heap, so 2^16-row
 # blocks left a later estimate's peak ~2.5 MB above that of 2^14
 _WRITE_ROWS = 1 << 14
-# blocks from which write_dataset formats in a worker pool: starting the
-# pool costs ~40 ms, and on 2 CPUs a fresh process's write broke even at
-# ~12 blocks and won from 16 on (BENCH_parallel_write.json)
-_POOL_BLOCKS = 16
 
 
 def _read_text(path: str) -> str:
@@ -163,43 +159,140 @@ def _scan_dataset(path: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_dataset(times: np.ndarray, statuses: np.ndarray, out) -> None:
-    """Write a time,status CSV, one write per block of rows; times take the ``_fmt`` format.
-
-    From ``_POOL_BLOCKS`` blocks of ``_WRITE_ROWS`` rows on, the blocks are
-    formatted in up to one forked worker process per usable CPU, at most
-    two blocks per worker in flight, and written in file order as each is
-    ready.  Fewer blocks, one usable CPU, no fork or a daemonic caller
-    format them in this process.  The text is the same either way.
-    """
+    """Write a time,status CSV, one write per block of rows; times take the ``_fmt`` format."""
     out.write("time,status\n")
-    starts = range(0, len(times), _WRITE_ROWS)
-    workers = min(_usable_cpus(), len(starts)) if len(starts) >= _POOL_BLOCKS else 1
-    pending = deque()
-    # fork only: a spawned worker's imports (~0.25 s) would cost more than
-    # the pool saves at n = 10^6
-    with _process_pool(workers, fork_only=True) as pool:
-        for start in starts:
-            block = times[start:start + _WRITE_ROWS], statuses[start:start + _WRITE_ROWS]
-            if pool is None:
-                out.write(_format_rows(*block))
-                continue
-            pending.append(pool.submit(_format_rows, *block))
-            if len(pending) == 2 * workers:
-                out.write(pending.popleft().result())
-        for future in pending:
-            out.write(future.result())
+    for start in range(0, len(times), _WRITE_ROWS):
+        out.write(_format_rows(times[start:start + _WRITE_ROWS],
+                               statuses[start:start + _WRITE_ROWS]))
+
+
+# Tables of the row formatter.  A row is laid out in five 8-byte words:
+# "0.000" (columns 0-4); three words of four significand digits, each
+# digit followed by a "." slot (8-31); "e", the exponent's sign and two
+# digits, ",", the status and "\n" (32-38).  The words are only copied
+# from tables built as bytes, never computed, so byte order does not
+# matter.  Which columns a row keeps depends only on its decimal exponent
+# X, from _EXP_MIN to _EXP_MAX, and the index of its last nonzero digit.
+_EXP_MIN, _EXP_MAX = -11, 34
+_PREFIX = np.frombuffer(b"0.000\0\0\0", dtype=np.uint64)
+# how close to a half the scaled time may come before its row is left to %
+_TIE_MARGIN = 1e-3
+
+
+@functools.cache
+def _row_tables() -> tuple[np.ndarray, ...]:
+    """The tables of the row formatter, built on first use so that an import pays nothing.
+
+    Returns 10^0..10^22, each exact in float64; the digit words of
+    0..9999 and their trailing zero counts (4 for 0); the tail words by
+    2 (X - _EXP_MIN) + status; the kept columns by 12 (X - _EXP_MIN) +
+    last digit, with one more entry, keeping none, for the rows formatted
+    by ``%``; and the number of columns each entry keeps.  The caller
+    only reads them.
+    """
+    # indexed by the four digits of a group, thousands first
+    digits = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.int64)
+    for place in range(4):
+        digits[..., 2 * place] = np.arange(48, 58).reshape((10,) + (1,) * (3 - place))
+        zeros[(...,) + (0,) * (place + 1)] += 1
+
+    x = np.arange(_EXP_MIN, _EXP_MAX + 1)[:, None]
+    tails = np.zeros((x.size, 2, 8), dtype=np.uint8)
+    tails[:, :, :7] = np.frombuffer(b"e+00,0\n", dtype=np.uint8)
+    tails[:, :, 1] = np.where(x < 0, ord("-"), ord("+"))
+    tails[:, :, 2] = 48 + abs(x) // 10
+    tails[:, :, 3] = 48 + abs(x) % 10
+    tails[:, 1, 5] += 1
+
+    x, last, col = x[:, :, None], np.arange(12)[None, :, None], np.arange(40)
+    fixed = (-4 <= x) & (x < 12)
+    point = np.where(fixed, x, 0)  # the digit that "." follows, -1 to -4 in "0.000"
+    digit = (col - 8) // 2  # of a digit column or of the "." slot after it
+    keep = ((col < 8) & fixed & (x < 0) & (col < 1 - x)
+            | (8 <= col) & (col < 32) & (col % 2 == 0) & (digit <= np.maximum(last, point))
+            | (8 <= col) & (col < 32) & (col % 2 == 1) & (digit == point) & (last > point)
+            | (32 <= col) & (col < 36) & ~fixed
+            | (36 <= col) & (col < 39))
+    keep = np.concatenate([keep.reshape(-1, 40), np.zeros((1, 40), dtype=bool)])
+    return (10.0 ** np.arange(23), digits.view(np.uint64).ravel(), zeros.ravel(),
+            tails.view(np.uint64).ravel(), keep, keep.sum(axis=1))
 
 
 def _format_rows(times: np.ndarray, statuses: np.ndarray) -> str:
-    """The CSV rows of one block, by one ``%`` call over its interleaved cells.
+    """The CSV rows of one block, as ``"%.12g,%d\n" %`` formats each row.
 
-    ``%.12g`` gives the text of ``_fmt`` for every float, inf and nan included.
+    A row whose time t is positive and finite and whose status is 0 or 1
+    is formatted by array arithmetic.  Take q = 11 - floor(log10 t).  For
+    |q| <= 22 the power 10^|q| is exact in float64, so y = t * 10^q (or
+    t / 10^-q) carries a single rounding, and where y lies in
+    [10^11, 10^12) it is off the exact product by at most half an ulp of
+    2^39, 2^-14 < 1.2e-4.  Where the fraction of y also lies more than
+    ``_TIE_MARGIN`` from 1/2, the exact product rounds to the same integer
+    N = rint(y), which is the correctly rounded 12-digit significand that
+    ``%.12g`` prints; N = 10^12 is 10^11 one decade up.  The digits of N
+    and its last nonzero digit come from tables of 4-digit groups, and the
+    decimal exponent X and the last digit pick the columns of the row
+    layout above that make the ``%g`` text: fixed notation for
+    -4 <= X < 12, ``d.ddde+XX`` otherwise.
+
+    Every other row (a time not positive, inf, nan or -0.0; a status
+    other than 0 or 1; |q| > 22; a y outside [10^11, 10^12), which only a
+    t within about 1e-15 of a power of ten gives; a near tie) is
+    formatted by ``%`` and put in its place, so the text equals the row
+    writer's on any input.
     """
-    block = times.tolist()
-    cells = [None] * (2 * len(block))
-    cells[0::2] = block
-    cells[1::2] = statuses.tolist()
-    return "%.12g,%d\n" * len(block) % tuple(cells)
+    _, digits4, zeros4, tails, keep, width = _row_tables()
+    fast, significand, x = _decimal_parts(times, statuses)
+    high, rest = np.divmod(significand, 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    zeros = np.where(low != 0, zeros4[low],
+                     np.where(mid != 0, 4 + zeros4[mid], 8 + zeros4[high]))
+    key = np.where(fast, 12 * (x - _EXP_MIN) + 11 - zeros, len(keep) - 1)
+
+    words = np.empty((x.size, 5), dtype=np.uint64)
+    words[:, 0] = _PREFIX
+    words[:, 1] = digits4[high]
+    words[:, 2] = digits4[mid]
+    words[:, 3] = digits4[low]
+    words[:, 4] = tails[2 * (x - _EXP_MIN) + (np.asarray(statuses) == 1)]
+    text = str(np.compress(np.take(keep, key, axis=0).ravel(), words.view(np.uint8)), "ascii")
+
+    slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return text
+    # a slow row keeps no columns, so its text goes where the rows before it end
+    ends = np.cumsum(width[key])[slow].tolist()
+    pieces, start = [], 0
+    for end, time, status in zip(ends, times[slow].tolist(), statuses[slow].tolist()):
+        pieces += text[start:end], "%.12g,%d\n" % (time, status)
+        start = end
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
+def _decimal_parts(times: np.ndarray,
+                   statuses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows ``_format_rows`` formats by array arithmetic, their significands N and exponents X.
+
+    The other rows get N = 10^11 and X = 0.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    s = np.asarray(statuses)
+    fast = (t > 0) & (t < np.inf) & ((s == 0) | (s == 1))
+    t = np.where(fast, t, 1.0)
+    q = 11 - np.floor(np.log10(t)).astype(np.int64)
+    powers = _row_tables()[0]
+    y = powers[np.minimum(np.abs(q), 22)]
+    up = q >= 0
+    np.multiply(t, y, where=up, out=y)
+    np.divide(t, y, where=~up, out=y)
+    fast &= ((1e11 <= y) & (y < 1e12) & (np.abs(q) <= 22)
+             & (np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN))
+    significand = np.rint(np.where(fast, y, 1e11)).astype(np.int64)
+    carry = significand == 10**12
+    significand[carry] = 10**11
+    return fast, significand, np.where(fast, 11 - q + carry, 0)
 
 
 @contextmanager
@@ -208,15 +301,16 @@ def _output_file(path: str):
 
     A new file beside path, made by a plain ``open`` and so of the usual
     mode, is renamed to path on success and removed on failure.  A symlink
-    is followed; a device or a pipe is written in place.
+    is followed; a device or a pipe is written in place.  A file that
+    cannot be opened, in a missing directory say, is a user error.
     """
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with _opened(path, target, "w") as fh:
             yield fh
         return
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    fh = _opened(path, tmp, "x")
     try:
         with fh:
             yield fh
@@ -224,6 +318,14 @@ def _output_file(path: str):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def _opened(path: str, name: str, mode: str):
+    """``open(name, mode)`` for writing; its failure is a user error that names path."""
+    try:
+        return open(name, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_output(times: np.ndarray, statuses: np.ndarray, path: str | None) -> None:
@@ -387,7 +489,10 @@ def cmd_sweep(args) -> int:
                             seed_override=args.seed)
     result = run_sweep(spec, n_jobs=args.threads)
 
-    os.makedirs(args.output_dir, exist_ok=True)
+    try:
+        os.makedirs(args.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output_dir}: {exc.strerror}") from exc
     main_path = os.path.join(args.output_dir, "sweep.csv")
     with _output_file(main_path) as fh:
         fh.write("k,alpha,abs_bias,mse,n_failures\n")

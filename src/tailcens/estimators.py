@@ -354,5 +354,4 @@ def mdpd_estimate(sample: OrderedSample, config: TailConfig,
     diagnostics.  To solve one window at several alphas, build one
     :class:`MdpdWindow` and call its ``estimate``.
     """
-    config.check_against(sample.n)
     return MdpdWindow(sample, config.k).estimate(config.alpha, options)

@@ -70,10 +70,6 @@ class TailConfig:
         if self.alpha < 0:
             raise ValueError(f"alpha={self.alpha} must be >= 0")
 
-    def check_against(self, n: int) -> None:
-        if not 1 <= self.k <= n - 1:
-            raise ValueError(f"k={self.k} out of range for sample size n={n}")
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -201,23 +201,22 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _process_pool(workers: int, fork_only: bool = False):
+def _process_pool(workers: int):
     """A ``ProcessPoolExecutor`` of ``workers`` processes, joined on exit.
 
     The workers are forked where the platform can fork, and started by its
     default method otherwise.  Yields None, for the caller to run its work
-    inline, where one worker is asked for, where this process is a daemon
-    (which may not start children), or where ``fork_only`` is set and the
-    platform cannot fork.
+    inline, where one worker is asked for or where this process is a daemon
+    (which may not start children).
     """
     if workers > 1:
         # imported here, so that only pooled work pays for the import
         import multiprocessing
 
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if not multiprocessing.current_process().daemon and (can_fork or not fork_only):
+        if not multiprocessing.current_process().daemon:
             from concurrent.futures import ProcessPoolExecutor
 
+            can_fork = "fork" in multiprocessing.get_all_start_methods()
             # fork: workers inherit the imported modules; a fresh interpreter
             # per worker would spend ~0.25 s importing numpy and tailcens again
             context = multiprocessing.get_context("fork" if can_fork else None)

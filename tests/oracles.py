@@ -14,7 +14,6 @@ def mdpd_residual(gamma1: float, sample: OrderedSample, config: TailConfig) -> f
     """Residual of the MDPD estimating equation at gamma1, alpha > 0."""
     if gamma1 <= 0:
         raise ValueError(f"gamma1={gamma1} must be > 0")
-    config.check_against(sample.n)
     return MdpdWindow(sample, config.k).residual(gamma1, config.alpha)
 
 

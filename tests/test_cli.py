@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -476,3 +477,28 @@ def test_failed_sweep_write_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert err.strip() == "internal error: formatting failed"
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", ["synth", "contaminate"])
+def test_output_into_a_missing_directory_is_a_user_error(tmp_path, capsys, command):
+    data = tmp_path / "d.csv"
+    write_toy(data, [(1.0 + i, 1) for i in range(12)])
+    argv = {"synth": ["synth", "--n", "10", "--gamma1", "0.3", "--p", "0.7"],
+            "contaminate": ["contaminate", str(data)]}[command]
+    out = str(tmp_path / "missing" / "x.csv")
+    code, stdout, err = run_cli(capsys, *argv, "--output", out)
+    assert code == 1
+    assert err.strip() == f"error: cannot write {out}: {os.strerror(errno.ENOENT)}"
+    assert stdout == "" and sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+
+def test_sweep_output_dir_that_is_a_file_is_a_user_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\nk_min = 10\n"
+                   "k_max = 10\n")
+    out = tmp_path / "o"
+    out.write_text("kept\n")
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out))
+    assert code == 1
+    assert err.strip() == f"error: cannot write {out}: {os.strerror(errno.EEXIST)}"
+    assert stdout == "" and out.read_text() == "kept\n"

@@ -10,10 +10,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailcens import cli
 from tailcens.cli import CliError, _fmt, main, read_dataset, write_dataset
-from tailcens.simulation import _process_pool as process_pool
 
 
 def reference_read_dataset(path: str) -> tuple[list[float], list[int]]:
@@ -179,27 +179,118 @@ def test_dataset_commands_peak_memory_per_row(tmp_path):
     assert max(per_row.values()) <= PEAK_BYTES_PER_ROW, per_row
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_write_dataset_is_byte_identical_to_the_row_writer(monkeypatch, workers):
-    # a usable CPU count of 2 runs the pooled writer on any machine, and
-    # from two blocks on
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
+def test_write_dataset_is_byte_identical_to_the_row_writer():
     block = cli._WRITE_ROWS
     rng = np.random.default_rng(3)
     times = np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 5 * block + 3))
     times[:11] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-5,
                   0.1, 1.0, 123456789012.5, 1e21, np.inf, np.nan, -0.0]
     statuses = (rng.random(times.size) < 0.6).astype(np.int8)
-    # counts that put the last row on each side of a block edge; the last
-    # has more blocks than the writer keeps in flight, and a short last
-    # block that is formatted before the full blocks ahead of it
+    # counts that put the last row on each side of a block edge
     for n in sorted({0, 1, block - 1, block, block + 1, 65535, 65536, 65537, 5 * block + 3}):
         got, want = io.StringIO(), io.StringIO()
         write_dataset(times[:n], statuses[:n], got)
         reference_write_dataset(times[:n].tolist(), statuses[:n].tolist(), want)
         assert got.getvalue() == want.getvalue(), n
         assert got.getvalue().count("\n") == n + 1
+
+
+def assert_rows_match(times, statuses=None) -> None:
+    """``_format_rows`` gives the row writer's text, row by row."""
+    times = np.asarray(times, dtype=np.float64)
+    if statuses is None:
+        statuses = np.arange(times.size, dtype=np.int8) % 2
+    got = cli._format_rows(times, statuses).splitlines()
+    want = io.StringIO()
+    reference_write_dataset(times.tolist(), statuses.tolist(), want)
+    want = want.getvalue().splitlines()[1:]
+    assert len(got) == len(want)
+    bad = [(t, g, w) for t, g, w in zip(times.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def ties() -> np.ndarray:
+    """The doubles nearest to (m + 1/2) 10^-q for 12-digit m and |q| <= 22, with neighbours."""
+    rng = np.random.default_rng(8)
+    m = rng.integers(10**11, 10**12, 4000)
+    q = np.tile(np.arange(-22, 23), 89)[:m.size]
+    tie = np.array([float(f"{a}5e{-b - 1}") for a, b in zip(m.tolist(), q.tolist())])
+    return np.concatenate([tie, np.nextafter(tie, 0), np.nextafter(tie, np.inf)])
+
+
+def powers_of_ten() -> np.ndarray:
+    """10^e and the two doubles on either side of it, e = -323..308."""
+    exact = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    below, above = np.nextafter(exact, 0), np.nextafter(exact, np.inf)
+    return np.concatenate([np.nextafter(below, 0), below, exact, above,
+                           np.nextafter(above, np.inf)])
+
+
+# a rounding carry into the next decade, each side of it and of a tie
+CARRIES = [999999999999.5, 999999999999.4, 999999999999.6, 99999999999.99995,
+           9.999999999995e-5, 9.9999999999949e-5, 9.9999999999951e-5, 0.99999999999996,
+           9.999999999996e33, 9.9999999999949e33, 1.00000000000049e-11]
+# where %g switches between fixed and exponent notation, and their neighbours
+SWITCHES = [v for p in (1e-5, 1e-4, 1e11, 1e12)
+            for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))]
+
+
+@pytest.mark.parametrize("values", [ties(), powers_of_ten(), CARRIES, SWITCHES],
+                         ids=["near ties", "powers of ten", "carries", "switch points"])
+def test_format_rows_matches_the_row_writer(values):
+    assert_rows_match(values)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(-128, 127)), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_format_rows_matches_the_row_writer_on_any_bits(rows):
+    bits, statuses = zip(*rows) if rows else ((), ())
+    times = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert_rows_match(times, np.array(statuses, dtype=np.int8))
+
+
+@given(st.lists(st.tuples(st.floats(1e-12, 1e35), st.sampled_from([0, 1])), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_format_rows_matches_the_row_writer_over_the_array_path(rows):
+    times, statuses = zip(*rows) if rows else ((), ())
+    assert_rows_match(times, np.array(statuses, dtype=np.int8))
+
+
+FALLBACKS = {
+    "not positive": ([0.0, -1.5, -1e300], 1),
+    "-0.0": ([-0.0], 1),
+    "inf": ([np.inf, -np.inf], 0),
+    "nan": ([np.nan], 1),
+    "status not 0 or 1": ([2.5, 2.5, 2.5], [2, -1, 127]),
+    "exponent below the range": ([9.99e-12, 1e-100, 5e-324], 1),
+    "exponent above the range": ([1e35, 1e300, 1.7976931348623157e308], 0),
+    "near tie": ([123456789012.5, 1.000000000005, 2.0000000000049999e-7], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACKS))
+def test_each_fallback_class_is_formatted_by_the_row_writer(name):
+    values, status = FALLBACKS[name]
+    times = np.array(values + [2.5], dtype=np.float64)
+    statuses = np.append(np.broadcast_to(status, len(values)), 1).astype(np.int8)
+    fast, _, _ = cli._decimal_parts(times, statuses)
+    # the last row, 2.5 with status 1, takes the array path
+    assert fast.tolist() == [False] * len(values) + [True]
+    assert_rows_match(times, statuses)
+
+
+def test_write_dataset_starts_no_child_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("write_dataset started a child process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    n = 16 * cli._WRITE_ROWS
+    times = np.random.default_rng(6).pareto(2.0, n) + 1.0
+    got, want = io.StringIO(), io.StringIO()
+    write_dataset(times, np.ones(n, dtype=np.int8), got)
+    reference_write_dataset(times.tolist(), [1] * n, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def format_rows_failing_at(marker: str, times: np.ndarray, statuses: np.ndarray) -> str:
@@ -209,24 +300,18 @@ def format_rows_failing_at(marker: str, times: np.ndarray, statuses: np.ndarray)
     return "".join(f"{_fmt(t)},{s}\n" for t, s in zip(times.tolist(), statuses.tolist()))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_failed_write_is_an_internal_error_and_leaves_no_worker(tmp_path, monkeypatch, capsys,
-                                                                 workers):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
+def test_failed_write_is_an_internal_error_and_leaves_no_partial_file(tmp_path, monkeypatch,
+                                                                      capsys):
     argv = ["synth", "--n", str(3 * cli._WRITE_ROWS), "--gamma1", "0.3", "--p", "0.7",
             "--output"]
     good = tmp_path / "good.csv"
     assert main(argv + [str(good)]) == 0
-    assert multiprocessing.active_children() == []
     text = good.read_text()
-    # the first time of the middle block; forked workers inherit the patch,
-    # and the partial of a module-level function pickles by reference
+    # the first time of the middle block
     marker = text.splitlines()[1 + cli._WRITE_ROWS].split(",")[0]
     monkeypatch.setattr(cli, "_format_rows", functools.partial(format_rows_failing_at, marker))
     assert main(argv + [str(tmp_path / "bad.csv")]) == 2
     assert "internal error: formatting failed" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
     # no partial file, at the path or beside it; a file already there is kept
     assert main(argv + [str(good)]) == 2
     assert os.listdir(tmp_path) == ["good.csv"] and good.read_text() == text
@@ -256,71 +341,6 @@ def test_output_to_a_device_is_written_in_place():
     assert main(["synth", "--n", "10", "--gamma1", "0.3", "--p", "0.7",
                  "--output", os.devnull]) == 0
     assert not os.path.isfile(os.devnull)
-
-
-def test_write_dataset_pools_from_the_cut_over(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    asked = []
-
-    def recording_pool(workers, fork_only=False):
-        asked.append((workers, fork_only))
-        return process_pool(workers, fork_only)
-
-    monkeypatch.setattr(cli, "_process_pool", recording_pool)
-    for blocks in (1, cli._POOL_BLOCKS - 1, cli._POOL_BLOCKS):
-        n = blocks * cli._WRITE_ROWS
-        write_dataset(np.ones(n), np.ones(n, dtype=np.int8), io.StringIO())
-    assert asked == [(1, True), (1, True), (2, True)]
-
-
-def inline_blocks(monkeypatch) -> list[int]:
-    """Patch ``_format_rows`` to list the blocks it formats in this process."""
-    formatted = []
-    format_rows = cli._format_rows
-
-    def recording_format_rows(times, statuses):
-        formatted.append(times.size)
-        return format_rows(times, statuses)
-
-    monkeypatch.setattr(cli, "_format_rows", recording_format_rows)
-    return formatted
-
-
-def test_write_dataset_formats_inline_where_the_platform_cannot_fork(monkeypatch):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    formatted = inline_blocks(monkeypatch)
-    n = 3 * cli._WRITE_ROWS
-    got, want = io.StringIO(), io.StringIO()
-    write_dataset(np.full(n, 2.5), np.ones(n, dtype=np.int8), got)
-    reference_write_dataset([2.5] * n, [1] * n, want)
-    assert got.getvalue() == want.getvalue()
-    assert formatted == [cli._WRITE_ROWS] * 3
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the daemon is forked to inherit the patches")
-def test_write_dataset_in_a_daemon_process_formats_inline(tmp_path, monkeypatch):
-    # a daemon may not start children, so a pool there would raise
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "_POOL_BLOCKS", 2)
-    n = 3 * cli._WRITE_ROWS
-    times = np.random.default_rng(5).pareto(2.0, n) + 1.0
-    statuses = np.ones(n, dtype=np.int8)
-    path = tmp_path / "daemon.csv"
-
-    def write():
-        with open(path, "w", encoding="utf-8") as fh:
-            write_dataset(times, statuses, fh)
-
-    child = multiprocessing.get_context("fork").Process(target=write, daemon=True)
-    child.start()
-    child.join()
-    assert child.exitcode == 0
-    want = io.StringIO()
-    reference_write_dataset(times.tolist(), statuses.tolist(), want)
-    assert path.read_text(encoding="utf-8") == want.getvalue()
 
 
 def reference_contaminate(times: np.ndarray, statuses: np.ndarray,

@@ -44,7 +44,6 @@ def mdpd_objective(gamma1: float, sample: OrderedSample, config: TailConfig) -> 
     alpha = config.alpha
     if alpha <= 0:
         raise ValueError("mdpd_objective requires alpha > 0")
-    config.check_against(sample.n)
     weights = mdpd_weights(sample, config.k)
     log_exc, _ = top_log_excesses(sample, config.k)
     model = gamma1 ** (-alpha) / (1.0 + alpha + alpha * gamma1)

@@ -7,6 +7,7 @@ from tailcens import (
     ModelParams,
     OrderedSample,
     TailConfig,
+    mdpd_estimate,
     order_sample,
     ordered_from_arrays,
     top_log_excesses,
@@ -151,8 +152,9 @@ def test_tail_config_validation():
         TailConfig(k=0)
     with pytest.raises(ValueError):
         TailConfig(k=5, alpha=-0.1)
-    with pytest.raises(ValueError):
-        TailConfig(k=5).check_against(5)
+    # k is checked against the sample size where the window is built
+    with pytest.raises(ValueError, match="k=5 out of range for sample size n=5"):
+        mdpd_estimate(ordered_from_arrays([1, 2, 3, 4, 5], [1] * 5), TailConfig(k=5))
 
 
 def test_model_params_derived():
