@@ -177,6 +177,8 @@ _EXP_MIN, _EXP_MAX = -11, 34
 _PREFIX = np.frombuffer(b"0.000\0\0\0", dtype=np.uint64)
 # how close to a half the scaled time may come before its row is left to %
 _TIE_MARGIN = 1e-3
+# rows of a block that one np.compress packs
+_COMPRESS_ROWS = 1 << 12
 
 
 @functools.cache
@@ -256,7 +258,11 @@ def _format_rows(times: np.ndarray, statuses: np.ndarray) -> str:
     words[:, 2] = digits4[mid]
     words[:, 3] = digits4[low]
     words[:, 4] = tails[2 * (x - _EXP_MIN) + (np.asarray(statuses) == 1)]
-    text = str(np.compress(np.take(keep, key, axis=0).ravel(), words.view(np.uint8)), "ascii")
+    # compressed in slices, since np.compress indexes every kept byte with an int64
+    data = words.view(np.uint8)
+    text = "".join(str(np.compress(np.take(keep, key[lo:lo + _COMPRESS_ROWS], axis=0).ravel(),
+                                   data[lo:lo + _COMPRESS_ROWS].ravel()), "ascii")
+                   for lo in range(0, x.size, _COMPRESS_ROWS))
 
     slow = np.flatnonzero(~fast)
     if not slow.size:

@@ -42,9 +42,19 @@ def mdpd_weights(sample: OrderedSample, k: int) -> np.ndarray:
     n = sample.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for sample size n={n}")
-    i = np.arange(1, k + 1)
-    deltas = sample.delta_concomitant[n - i].astype(float)  # delta_{[n-i+1:n]}
-    # tail[i-1] = sum_{j=i+1}^{k} delta_j / j
-    ratios = deltas / i
-    tail = np.concatenate([np.cumsum(ratios[::-1])[::-1][1:], [0.0]])
+    # delta_{[n-i+1:n]}, i = 1..k
+    return _stacked_weights(sample.delta_concomitant[n - k:][::-1][None, :])[0]
+
+
+def _stacked_weights(deltas: np.ndarray) -> np.ndarray:
+    """The weights a_ik of each row of an (R, k) array of top-k indicators, i = 1 first.
+
+    Row r's weights are bit-equal to those of ``mdpd_weights`` on the
+    sample that row comes from, which is the case R = 1.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    ratios = deltas / np.arange(1, deltas.shape[1] + 1)
+    # tail[:, i-1] = sum_{j=i+1}^{k} delta_j / j, summed from j = k down
+    tail = np.zeros_like(ratios)
+    tail[:, :-1] = np.cumsum(ratios[:, ::-1], axis=1)[:, -2::-1]
     return ratios * np.exp(-tail)

@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
-from .empirical import kaplan_meier_survival, mdpd_weights
+from .empirical import _stacked_weights, kaplan_meier_survival, mdpd_weights
 from .sample_model import OrderedSample, TailConfig, top_log_excesses
 
-# grid rows that MdpdWindow.gamma1_hat scans around the MNS reference
+# grid rows that _local_roots scans around the MNS reference
 LOCAL_ROWS = 16
 
 
@@ -132,6 +133,79 @@ def brentq(f, a: float, b: float, args: tuple, xtol: float, rtol: float,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
+def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
+                b: np.ndarray, xtol: float, rtol: float,
+                maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`brentq` on every bracket [a[j], b[j]] at once, as (roots, iterations).
+
+    f(idx, x) returns, for each j, the function of bracket idx[j] at x[j];
+    it is asked only for the brackets still iterating, and a bracket that
+    converges leaves the working arrays.  Each step is :func:`brentq`'s,
+    element by element, so each root and iteration count equals
+    :func:`brentq`'s on that bracket: a zero divisor, which raises
+    ZeroDivisionError there, gives the step inf here, and Python's
+    ``min(u, v)`` is ``where(v < u, v, u)``, which differs from
+    ``np.minimum`` at NaN.  Raises ValueError if some f(a) and f(b) have
+    the same sign, RuntimeError if a bracket is left after maxiter
+    iterations.
+    """
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    roots = np.empty_like(xpre)
+    iterations = np.zeros(xpre.size, dtype=np.int64)
+    idx = np.arange(xpre.size)
+    fpre, fcur = f(idx, xpre), f(idx, xcur)
+    at_end = (fpre == 0) | (fcur == 0)
+    roots[at_end] = np.where(fpre == 0, xpre, xcur)[at_end]
+    if np.any(~at_end & ((fpre < 0) == (fcur < 0))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    live = ~at_end
+    idx, xpre, xcur, fpre, fcur = idx[live], xpre[live], xcur[live], fpre[live], fcur[live]
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    with np.errstate(all="ignore"):
+        for i in range(1, maxiter + 1):
+            if idx.size == 0:
+                return roots, iterations
+            flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if np.any(done):
+                roots[idx[done]], iterations[idx[done]] = xcur[done], i
+                live = ~done
+                idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[live] for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
+                                      delta, sbis))
+                if idx.size == 0:
+                    return roots, iterations
+            # the interpolated step, inf wherever brentq divides by zero
+            secant = xpre == xblk
+            d_sec, d_pre, d_blk = fcur - fpre, xpre - xcur, xblk - xcur
+            dpre, dblk = (fpre - fcur) / d_pre, (fblk - fcur) / d_blk
+            d_ext = dblk * dpre * (fblk - fpre)
+            stry = np.where(secant, -fcur * (xcur - xpre) / d_sec,
+                            -fcur * (fblk * dblk - fpre * dpre) / d_ext)
+            zero = np.where(secant, d_sec == 0, (d_pre == 0) | (d_blk == 0) | (d_ext == 0))
+            stry[zero] = np.inf
+            bound = 3 * np.abs(sbis) - delta
+            bound = np.where(bound < np.abs(spre), bound, np.abs(spre))
+            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < bound))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(idx, xcur)
+    if idx.size:
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    return roots, iterations
+
+
 def hill_gamma(sample: OrderedSample, k: int) -> float:
     """Hill estimator of the tail index of the observed minimum Z."""
     log_exc, _ = top_log_excesses(sample, k)
@@ -187,15 +261,35 @@ def mns_estimator(sample: OrderedSample, k: int) -> float:
     return float(np.dot(weights, log_exc))
 
 
+def _stacked_residuals(alpha, g: np.ndarray, log_exc: np.ndarray, weights: np.ndarray,
+                       weighted_neg_log: np.ndarray) -> np.ndarray:
+    """Residuals of m windows, each at its own points: shape (m, r) from g of shape (m, r).
+
+    Row j of the (m, k) arrays log_exc, weights and weighted_neg_log is one
+    window, and alpha broadcasts against g.  Each value is reduced as its
+    own one-row product, ``(1, k) @ (k, 1)``, as in :meth:`MdpdWindow.residual`,
+    so it has that method's bits whatever other rows are computed with it;
+    ``einsum`` or a row sum would not.
+    """
+    # powers[j, p, i] = r_i^{expo_jp} = exp(expo_jp * L_ji), in place
+    powers = (-alpha * (1.0 + 1.0 / g))[:, :, None] * log_exc[:, None, :]
+    np.exp(powers, out=powers)
+    rows = powers[:, :, None, :]
+    empirical = ((rows @ weighted_neg_log[:, None, :, None])[..., 0, 0]
+                 + (rows @ weights[:, None, :, None])[..., 0, 0] * g)
+    d = 1.0 + alpha + alpha * g
+    return empirical - alpha * g * (g + 1.0) / (d * d)
+
+
 class MdpdWindow:
     """The top-k window of one sample, shared by the MDPD solves at every alpha.
 
     Holds what the estimating equation needs that does not depend on alpha,
     each computed on first use: the weights a_ik, the log-excesses L_i, the
-    products a_ik * -L_i and the MNS reference; and scratch buffers that
-    each residual evaluation overwrites.  Each residual is reduced as its own
-    one-row product, so its bits do not depend on the rows computed with it.
-    Not safe to share between threads.
+    products a_ik * -L_i and the MNS reference; and a scratch buffer that
+    each :meth:`residual` call overwrites.  Each residual is reduced as its
+    own one-row product, so its bits do not depend on the rows computed with
+    it.  Not safe to share between threads.
     """
 
     def __init__(self, sample: OrderedSample, k: int):
@@ -204,7 +298,6 @@ class MdpdWindow:
         self.sample = sample
         self.k = k
         self._point = np.empty((1, k))
-        self._scan = np.empty((0, k))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -224,22 +317,9 @@ class MdpdWindow:
         return mns_estimator(self.sample, self.k)
 
     def _residuals(self, g: np.ndarray, alpha: float) -> np.ndarray:
-        """Residual at each gamma1 of the 1-d array g, bit-equal to :meth:`residual` there.
-
-        Each row is its own (1, k) product, as in :meth:`residual`: a batched
-        ``powers @ v`` may round a row differently with the rows beside it.
-        """
-        if self._scan.shape[0] < g.size:
-            self._scan = np.empty((g.size, self.k))
-        powers = self._scan[:g.size]
-        expo = -alpha * (1.0 + 1.0 / g)
-        # powers[j, i] = r_i^{expo_j} = exp(expo_j * L_i)
-        np.multiply(expo[:, None], self.log_exc, out=powers)
-        np.exp(powers, out=powers)
-        rows = powers[:, None, :]
-        empirical = (rows @ self._weighted_neg_log)[:, 0] + (rows @ self.weights)[:, 0] * g
-        model = alpha * g * (g + 1.0) / (1.0 + alpha + alpha * g) ** 2
-        return empirical - model
+        """Residual at each gamma1 of the 1-d array g, bit-equal to :meth:`residual` there."""
+        return _stacked_residuals(alpha, g[None, :], self.log_exc[None, :], self.weights[None, :],
+                                  self._weighted_neg_log[None, :])[0]
 
     def residual(self, gamma1: float, alpha: float) -> float:
         """Residual of the estimating equation at one gamma1.
@@ -257,14 +337,14 @@ class MdpdWindow:
         return float((powers @ self._weighted_neg_log)[0] + (powers @ self.weights)[0] * g
                      - alpha * g * (g + 1.0) / (d * d))
 
-    def _roots(self, alpha: float, options: SolverOptions, lo: int, hi: int) -> list[tuple]:
-        """Roots on grid rows lo..hi-1, as (root, residual, bracket, iterations).
+    def _roots(self, alpha: float, options: SolverOptions) -> list[tuple]:
+        """Roots on the grid, as (root, residual, bracket, iterations).
 
         Rows whose residual is exactly 0 come first, then the Brent roots of
         each sign change between adjacent rows that meet ``options.tol_abs``.
         Raises NoRootError if there are none.
         """
-        grid = options.grid[lo:hi]
+        grid = options.grid
         values = self._residuals(grid, alpha)
         sign_change = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
         exact_hits = np.nonzero(values == 0.0)[0]
@@ -297,49 +377,12 @@ class MdpdWindow:
         if not np.any(self.weights > 0):
             raise NoRootError("no root exists: all top observations censored")
 
-        roots = self._roots(alpha, options, 0, options.grid.size)
+        roots = self._roots(alpha, options)
         best = min(roots, key=lambda r: abs(r[0] - self.reference))
         return EstimateResult(
             gamma1_hat=best[0], method="MDPD", alpha=alpha, k=k,
             residual=best[1], iterations=best[3], bracket=best[2],
             all_roots=tuple(r[0] for r in roots))
-
-    def gamma1_hat(self, alpha: float, options: SolverOptions = SolverOptions()) -> float:
-        """``self.estimate(alpha, options).gamma1_hat``, found by a local scan where it can.
-
-        Raises what :meth:`estimate` raises.  The scan covers the
-        ``LOCAL_ROWS`` grid rows around the MNS reference; when its nearest
-        root could be farther than a root outside them, the full scan runs.
-        """
-        root = self._local_root(alpha, options)
-        return self.estimate(alpha, options).gamma1_hat if root is None else root
-
-    def _local_root(self, alpha: float, options: SolverOptions) -> float | None:
-        """The full scan's nearest root from LOCAL_ROWS grid rows, or None if unproven.
-
-        The rows are the window around ``searchsorted(grid, reference)``,
-        clipped at the grid ends.  Their values are the full scan's (see
-        :meth:`_residuals`), so their roots are the full scan's roots inside
-        the window.  The nearest (the first of equals, as ``min`` picks) is
-        returned only if it is strictly closer to the reference than both
-        window edges, an edge on a grid end counting as infinitely far: any
-        root outside the window lies beyond an edge, so it cannot be nearer.
-        """
-        grid = options.grid
-        if alpha == 0.0 or grid.size < LOCAL_ROWS or not grid[0] < grid[-1]:
-            return None
-        reference = self.reference
-        lo = min(max(int(np.searchsorted(grid, reference)) - LOCAL_ROWS // 2, 0),
-                 grid.size - LOCAL_ROWS)
-        hi = lo + LOCAL_ROWS
-        try:
-            roots = self._roots(alpha, options, lo, hi)
-        except NoRootError:
-            return None
-        best = min(roots, key=lambda r: abs(r[0] - reference))[0]
-        lower_edge = abs(reference - grid[lo]) if lo > 0 else np.inf
-        upper_edge = abs(grid[hi - 1] - reference) if hi < grid.size else np.inf
-        return best if abs(best - reference) < min(lower_edge, upper_edge) else None
 
 
 def mdpd_estimate(sample: OrderedSample, config: TailConfig,
@@ -355,3 +398,120 @@ def mdpd_estimate(sample: OrderedSample, config: TailConfig,
     :class:`MdpdWindow` and call its ``estimate``.
     """
     return MdpdWindow(sample, config.k).estimate(config.alpha, options)
+
+
+# the default settings, which the sweep solves every cell with
+_SWEEP_OPTIONS = SolverOptions()
+
+
+def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 reference: np.ndarray) -> np.ndarray:
+    """Each cell's nearest full-scan root, from LOCAL_ROWS grid rows; NaN where unproven.
+
+    Cell c is one window at one alpha > 0; residual(cells, g) returns, for
+    each j, the residuals of cell cells[j] at the points g[j, :], with the
+    bits of its full scan (see :func:`_stacked_residuals`); cells is an
+    index array, or ``slice(None)`` for every cell in order.  A cell scans
+    the rows from ``clip(searchsorted(grid, reference[c]) - LOCAL_ROWS // 2,
+    0, grid.size - LOCAL_ROWS)``.  Its candidates are, as in
+    :meth:`MdpdWindow.estimate`, first the rows where the residual is
+    exactly 0, then the Brent root of each sign change in row order whose
+    residual meets ``tol_abs``; the nearest to the reference wins,
+    the first of equals on a tie.  Every bracket of every cell is refined
+    in one :func:`_brent_many`.  Since the scanned rows are the full
+    scan's, their roots are the full scan's roots inside the window, and
+    the winner is returned only if it is strictly closer to the reference
+    than both window edges, an edge on a grid end counting as infinitely
+    far: any root outside the window lies beyond an edge, so it cannot be
+    nearer.  A cell without candidates, or whose winner fails that test,
+    gets NaN.
+    """
+    grid = _SWEEP_OPTIONS.grid
+    found = np.full(reference.size, np.nan)
+    lo = np.clip(np.searchsorted(grid, reference) - LOCAL_ROWS // 2, 0,
+                 grid.size - LOCAL_ROWS)
+    points = grid[lo[:, None] + np.arange(LOCAL_ROWS)]
+    values = residual(slice(None), points)
+
+    zero_cell, zero_row = np.nonzero(values == 0.0)
+    cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
+
+    def f(idx, x):
+        return residual(cell[idx], x[:, None])[:, 0]
+
+    roots, _ = _brent_many(f, points[cell, row], points[cell, row + 1], xtol=1e-14,
+                           rtol=8.9e-16, maxiter=_SWEEP_OPTIONS.max_iter)
+    met = np.abs(f(np.arange(cell.size), roots)) <= _SWEEP_OPTIONS.tol_abs
+    cell, row, roots = cell[met], row[met], roots[met]
+    # candidates in the full scan's order: exact zeros, then Brent roots;
+    # per cell, the nearest and then the first of equals wins
+    cells = np.concatenate([zero_cell, cell])
+    candidates = np.concatenate([points[zero_cell, zero_row], roots])
+    order = np.concatenate([zero_row, LOCAL_ROWS + row])
+    distance = np.abs(candidates - reference[cells])
+    ranked = np.lexsort((order, distance, cells))
+    first = ranked[np.unique(cells[ranked], return_index=True)[1]]
+    best, lo = cells[first], lo[cells[first]]
+    lower = np.where(lo > 0, np.abs(reference[best] - grid[lo]), np.inf)
+    upper = np.where(lo + LOCAL_ROWS < grid.size,
+                     np.abs(grid[lo + LOCAL_ROWS - 1] - reference[best]), np.inf)
+    proven = distance[first] < np.where(upper < lower, upper, lower)
+    found[best[proven]] = candidates[first[proven]]
+    return found
+
+
+def _stacked_windows(tops: np.ndarray, deltas: np.ndarray,
+                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The top-k windows of R samples: log-excesses, weights, weights * -log-excesses, MNS.
+
+    Row r of the (R, m) arrays tops and deltas holds the m > k largest
+    observations of sample r in increasing order and their indicators.
+    The first three results are (R, k) arrays, the references an (R,)
+    array; row r of each is bit-equal to what :class:`MdpdWindow` computes
+    for sample r (``log_exc``, ``weights``, ``_weighted_neg_log`` and
+    ``reference``).
+    """
+    log_exc = np.log(tops[:, -k:][:, ::-1] / tops[:, -k - 1:-k])
+    weights = _stacked_weights(deltas[:, -k:][:, ::-1])
+    # one (1, k) @ (k, 1) product per row, which is np.dot's reduction
+    reference = (weights[:, None, :] @ log_exc[:, :, None])[:, 0, 0]
+    return log_exc, weights, weights * -log_exc, reference
+
+
+def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k: int, alphas) -> np.ndarray:
+    """MDPD estimates of the top-k windows of R samples at each alpha, shape (R, len(alphas)).
+
+    Row r of the (R, m) arrays tops and deltas holds the m > k largest
+    observations of sample r in increasing order and their indicators.
+    Each value is bit-identical to ``MdpdWindow(sample, k).estimate(alpha)
+    .gamma1_hat``, and NaN where that raises EstimationError.  Every cell
+    at alpha > 0 goes through one :func:`_local_roots`, and the cells it
+    leaves unproven through ``MdpdWindow.estimate`` on a sample of the m
+    largest observations, which hold all that a top-k window reads.
+    """
+    log_exc, weights, weighted_neg_log, reference = _stacked_windows(tops, deltas, k)
+    alphas = np.asarray(alphas, dtype=float)
+    positive = np.flatnonzero(alphas > 0)
+    size, cells_per_window = tops.shape[0], positive.size
+    cell_alphas = alphas[positive]
+
+    # cell c is window c // cells_per_window at alpha cell_alphas[c % cells_per_window]
+    def residual(cells, g):
+        if isinstance(cells, slice):  # every cell: a window's cells make one row, not a copy
+            return _stacked_residuals(np.repeat(cell_alphas, g.shape[1]), g.reshape(size, -1),
+                                      log_exc, weights, weighted_neg_log).reshape(g.shape)
+        w, a = np.divmod(cells, cells_per_window)
+        return _stacked_residuals(cell_alphas[a][:, None], g, log_exc[w], weights[w],
+                                  weighted_neg_log[w])
+
+    out = np.empty((size, alphas.size))
+    out[:, alphas == 0] = np.where(reference > 0, reference, np.nan)[:, None]
+    out[:, positive] = _local_roots(residual, np.repeat(reference, cells_per_window)).reshape(
+        size, cells_per_window)
+    for r, j in zip(*np.nonzero(np.isnan(out[:, positive]))):
+        try:
+            window = MdpdWindow(OrderedSample(tops[r], deltas[r]), k)
+            out[r, positive[j]] = window.estimate(float(cell_alphas[j]), _SWEEP_OPTIONS).gamma1_hat
+        except EstimationError:
+            pass
+    return out

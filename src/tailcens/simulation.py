@@ -19,15 +19,20 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimationError, MdpdWindow
+from .estimators import LOCAL_ROWS, _solve_windows
 from .sample_model import InvalidSampleError, ModelParams, ordered_from_arrays
 
 # Contiguous replicate ranges handed to each worker process: more than one
 # per worker, so a worker that finishes early picks up another range.
 CHUNKS_PER_WORKER = 4
+# Bytes that the float64 arrays of one block of replicates, which are
+# solved together, may take: per replicate, the local scans of its cells at
+# alpha > 0 (LOCAL_ROWS x largest k each) and its largest observations.
+BLOCK_BYTES = 3 << 20
 
 
 def burr_quantile(u, gamma1: float, eta: float):
@@ -168,30 +173,38 @@ class SweepResult:
     workers: int = 1  # worker processes actually used
 
 
-def _replicate_estimates(spec: SweepSpec, replicate: int) -> np.ndarray:
-    """gamma1_hat for every (k, alpha) cell of one replicate; NaN on failure.
+def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
+    """gamma1_hat of every (replicate, k, alpha) cell of a block of replicates; NaN on failure.
 
-    Each cell is ``MdpdWindow.gamma1_hat``: the local root scan around the
-    MNS reference, with the full scan as its fallback, so every value is
-    bit-identical to ``MdpdWindow.estimate(alpha).gamma1_hat``.
+    Each replicate is drawn and ordered on its own stream, and only its
+    max(k_grid) + 1 largest observations are kept.  The cells at each k
+    are solved together by ``estimators._solve_windows``, so every value is
+    bit-identical to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
     """
-    rng = _replicate_rng(spec.seed, replicate)
-    _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination, rng)
-    sample = ordered_from_arrays(z, delta)
-    out = np.full((len(spec.k_grid), len(spec.alphas)), np.nan)
-    for ki, k in enumerate(spec.k_grid):
-        window = MdpdWindow(sample, k)
-        for ai, alpha in enumerate(spec.alphas):
-            try:
-                out[ki, ai] = window.gamma1_hat(alpha)
-            except EstimationError:
-                pass
-    return out
+    m = max(spec.k_grid) + 1
+    tops = np.empty((len(replicates), m))
+    deltas = np.empty((len(replicates), m), dtype=np.int8)
+    for i, r in enumerate(replicates):
+        _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
+                                      _replicate_rng(spec.seed, r))
+        sample = ordered_from_arrays(z, delta)
+        tops[i], deltas[i] = sample.z_sorted[-m:], sample.delta_concomitant[-m:]
+    return np.stack([_solve_windows(tops, deltas, k, spec.alphas) for k in spec.k_grid],
+                    axis=1)
 
 
 def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
-    """Stacked estimates of replicates start..stop-1, shape (stop-start, k, alpha)."""
-    return np.stack([_replicate_estimates(spec, r) for r in range(start, stop)])
+    """Estimates of replicates start..stop-1, shape (stop-start, k, alpha); NaN on failure.
+
+    The replicates are drawn and solved in consecutive blocks, each as
+    many replicates as BLOCK_BYTES holds (one at least), so the memory of a
+    range does not grow with its length.  A block's values do not depend
+    on the replicates solved with it (see :func:`_block_estimates`).
+    """
+    cells = sum(a > 0 for a in spec.alphas)
+    size = max(1, BLOCK_BYTES // (8 * max(spec.k_grid) * (LOCAL_ROWS * cells + 1)))
+    return np.concatenate([_block_estimates(spec, range(lo, min(lo + size, stop)))
+                           for lo in range(start, stop, size)])
 
 
 def _usable_cpus() -> int:
@@ -234,9 +247,11 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     run in min(n_jobs, usable CPUs, replicates) worker processes, or in
     this process where it is a daemon, each on contiguous replicate
     ranges; the ranges are concatenated in replicate order, so the result
-    does not depend on n_jobs or scheduling.  Each
-    cell is solved as in :func:`_replicate_estimates`: a local root scan
-    that falls back to the full scan and gives the full scan's root.
+    does not depend on n_jobs or scheduling.  A range is solved in blocks
+    of replicates under BLOCK_BYTES (:func:`_replicate_range`), the cells
+    of a block together: a local root scan with one lockstep Brent pass,
+    falling back to the full scan, which gives every cell the full scan's
+    root bit for bit and does not depend on the block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

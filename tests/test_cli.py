@@ -2,6 +2,7 @@ import errno
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +186,33 @@ def test_sweep_outputs_and_determinism(tmp_path, capsys):
     sweep_lines = (out1 / "sweep.csv").read_text().splitlines()
     assert sweep_lines[0] == "k,alpha,abs_bias,mse,n_failures"
     assert len(sweep_lines) == 1 + 2 * 2
+
+
+# the sweep config of the README, at full size
+README_SWEEP = """\
+n = 1000
+gamma1 = 0.3
+p = 0.55
+epsilon = 0.40
+theta1 = 0.6
+alphas = 0,0.1,0.5,1
+k_min = 50
+k_max = 300
+k_step = 50
+replicates = 200
+seed = 0
+"""
+GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "golden" / "seed0" / "sweep.csv"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_sweep_is_the_golden_sweep(tmp_path, capsys, threads):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(README_SWEEP)
+    code, _, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(tmp_path / "o"),
+                           "--threads", threads)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "o" / "sweep.csv").read_bytes() == GOLDEN_SWEEP.read_bytes()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

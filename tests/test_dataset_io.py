@@ -151,8 +151,10 @@ def test_blockwise_routing_matches_the_whole_text(tmp_path, monkeypatch, block):
 # numpy reports its buffers to tracemalloc, so the figures are
 # deterministic.  At n = 200 000 they were 57.3, 51.5 and 51.2 when every
 # layer kept its full-length temporaries, and 27.3, 26.4 and 26.4 without
-# them.  A block of formatted rows adds ~8 of them to synth and contaminate
-PEAK_BYTES_PER_ROW = 40
+# them.  A block of formatted rows packed by one np.compress raised synth
+# and contaminate to 38.8 and 34.6; packed in 2^12-row slices it leaves
+# them at 31.8 and 26.4, where synth's draw and first-use imports set the peak
+PEAK_BYTES_PER_ROW = 32
 
 
 def test_dataset_commands_peak_memory_per_row(tmp_path):

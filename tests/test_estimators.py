@@ -370,8 +370,9 @@ def test_solver_options_validation():
     assert SolverOptions(grid_points=2, max_iter=1).grid.size == 2
 
 
-# The local scan of MdpdWindow.gamma1_hat against the full scan of estimate,
-# on residual functions whose roots are placed around the reference by hand.
+# The local scan of the sweep's block solve against the full scan of
+# estimate, on residual functions whose roots are placed around the
+# reference by hand.
 GRID = SolverOptions().grid
 MID = int(np.searchsorted(GRID, 1.0))  # the local window is GRID[MID - 8:MID + 8]
 
@@ -391,15 +392,28 @@ class ScriptedWindow(MdpdWindow):
         return float(self.f(float(gamma1)))
 
 
-def local_and_full(window, alpha=0.5, options=SolverOptions()):
-    return window._local_root(alpha, options), window.estimate(alpha, options).gamma1_hat
+def scripted(*windows):
+    """The residual callable of _local_roots for cells whose residuals are the windows' f."""
+    def residual(cells, g):
+        cells = np.arange(len(windows))[cells]
+        return np.array([[windows[c].f(float(x)) for x in row]
+                         for c, row in zip(cells, g)]).reshape(g.shape)
+    return residual
+
+
+def local_roots(*windows):
+    reference = np.array([w.reference for w in windows])
+    return estimators._local_roots(scripted(*windows), reference)
+
+
+def local_and_full(window, alpha=0.5):
+    return local_roots(window)[0], window.estimate(alpha).gamma1_hat
 
 
 def test_local_scan_accepts_a_root_inside_the_window():
     window = ScriptedWindow(lambda g: g - 1.1)
     local, full = local_and_full(window)
-    assert local == full == window.gamma1_hat(0.5)
-    assert local == pytest.approx(1.1)
+    assert local == full == pytest.approx(1.1)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-20])
@@ -409,23 +423,22 @@ def test_local_scan_root_on_a_grid_row(offset):
     # scan's, so both find the same root
     window = ScriptedWindow(lambda g: g - GRID[MID + 2] + offset)
     local, full = local_and_full(window)
-    assert local == full == window.gamma1_hat(0.5)
-    assert local == pytest.approx(GRID[MID + 2], rel=1e-12)
+    assert local == full == pytest.approx(GRID[MID + 2], rel=1e-12)
 
 
 def test_local_scan_without_sign_change_falls_back():
     window = ScriptedWindow(lambda g: g - 20.0)
     local, full = local_and_full(window)
-    assert local is None
-    assert window.gamma1_hat(0.5) == full == pytest.approx(20.0)
+    assert np.isnan(local)
+    assert full == pytest.approx(20.0)
 
 
 def test_local_scan_root_rejected_by_tolerance_falls_back():
     # a jump at 1.1 brackets no root: Brent stops there with |residual| = 1
     window = ScriptedWindow(lambda g: np.sign(g - 1.1) if g < 10.0 else 15.0 - g)
     local, full = local_and_full(window)
-    assert local is None
-    assert window.gamma1_hat(0.5) == full == pytest.approx(15.0)
+    assert np.isnan(local)
+    assert full == pytest.approx(15.0)
 
 
 def test_local_root_not_closer_than_window_edge_falls_back():
@@ -434,43 +447,45 @@ def test_local_root_not_closer_than_window_edge_falls_back():
     assert abs(outside - 1.0) < abs(inside - 1.0)
     window = ScriptedWindow(lambda g: (g - outside) * (g - inside))
     local, full = local_and_full(window)
-    assert local is None
-    assert window.gamma1_hat(0.5) == full == pytest.approx(outside)
+    assert np.isnan(local)
+    assert full == pytest.approx(outside)
 
 
-@pytest.mark.parametrize("reference, root", [
+CLIPPED = [
     (GRID[3], np.sqrt(GRID[13] * GRID[14])),
     (1e-9, np.sqrt(GRID[13] * GRID[14])),
     (GRID[-4], np.sqrt(GRID[-14] * GRID[-15])),
     (100.0, np.sqrt(GRID[-14] * GRID[-15])),
-])
+]
+
+
+@pytest.mark.parametrize("reference, root", CLIPPED)
 def test_local_scan_window_clipped_at_grid_end(reference, root):
     # the clipped side's edge is a grid end, which no unscanned root lies beyond,
     # so a root farther away than that edge is still accepted
     window = ScriptedWindow(lambda g: g - root, reference)
     local, full = local_and_full(window)
-    assert local == full == window.gamma1_hat(0.5)
-    assert local == pytest.approx(root)
+    assert local == full == pytest.approx(root)
 
 
-def test_local_scan_no_root_raises_like_full_scan():
+def test_local_scan_no_root_falls_back_and_the_full_scan_raises():
     window = ScriptedWindow(lambda g: 1.0)
-    assert window._local_root(0.5, SolverOptions()) is None
-    with pytest.raises(NoRootError):
-        window.estimate(0.5)
+    assert np.isnan(local_roots(window)[0])
     with pytest.raises(NoRootError, match="no root in bracket"):
-        window.gamma1_hat(0.5)
-    censored = ordered_from_arrays([1, 2, 3, 4, 5], [1, 1, 0, 0, 0])
-    with pytest.raises(NoRootError, match="all top observations censored"):
-        MdpdWindow(censored, 3).gamma1_hat(0.5)
+        window.estimate(0.5)
 
 
 def test_local_scan_tie_takes_the_lower_root(monkeypatch):
-    # roots 0.75 and 1.25 are exactly 0.25 from the reference 1.0; Brent is
-    # stubbed to return them exactly, so only min()'s first-wins rule decides
+    # roots 0.75 and 1.25 are exactly 0.25 from the reference 1.0; the
+    # kernel and brentq are stubbed to return them exactly, so only the
+    # first-of-equals rule decides
+    def exact_brent_many(f, a, b, **kwargs):
+        return np.where(b < 1.0, 0.75, 1.25), np.ones(a.size, dtype=int)
+
     def exact_brentq(f, a, b, **kwargs):
         return (0.75 if b < 1.0 else 1.25), SimpleNamespace(iterations=1)
 
+    monkeypatch.setattr(estimators, "_brent_many", exact_brent_many)
     monkeypatch.setattr(estimators, "brentq", exact_brentq)
     window = ScriptedWindow(lambda g: (g - 0.75) * (g - 1.25))
     local, full = local_and_full(window)
@@ -478,31 +493,66 @@ def test_local_scan_tie_takes_the_lower_root(monkeypatch):
     assert window.estimate(0.5).all_roots == (0.75, 1.25)
 
 
-@pytest.mark.parametrize("alpha, options", [
-    (0.0, SolverOptions()),
-    (0.5, SolverOptions(domain_lo=50.0, domain_hi=1e-6)),
-    (0.5, SolverOptions(grid_points=15)),
-])
-def test_local_scan_not_used_where_it_does_not_apply(alpha, options):
+def test_local_scan_tie_takes_an_exact_zero_before_a_brent_root(monkeypatch):
+    # the residual is exactly 0 on the grid row x0 and changes sign at
+    # 2 - x0, which the stubbed solvers return exactly; both are |x0 - 1|
+    # from the reference 1.0, and the exact zero comes first
+    x0 = GRID[MID + 2]
+    mirror = 2.0 - x0
+    assert mirror - 1.0 == 1.0 - x0 and mirror not in GRID
+
+    def exact_brent_many(f, a, b, **kwargs):
+        return np.full(a.size, mirror), np.ones(a.size, dtype=int)
+
+    def exact_brentq(f, a, b, **kwargs):
+        return mirror, SimpleNamespace(iterations=1)
+
+    monkeypatch.setattr(estimators, "_brent_many", exact_brent_many)
+    monkeypatch.setattr(estimators, "brentq", exact_brentq)
+    window = ScriptedWindow(lambda g: (g - x0) * (g - mirror))
+    local, full = local_and_full(window)
+    assert local == full == x0
+    assert window.estimate(0.5).all_roots == (x0, mirror)
+
+
+def test_local_scan_of_many_cells_is_each_cells_own():
+    # every scripted case above in one call: each cell gets the value it
+    # gets alone, so no cell's scan, brackets or winner leak into another's
+    inside = np.sqrt(GRID[MID + 6] * GRID[MID + 7])
+    outside = np.sqrt(GRID[MID - 10] * GRID[MID - 9])
+    windows = [ScriptedWindow(lambda g: g - 1.1), ScriptedWindow(lambda g: g - 20.0),
+               ScriptedWindow(lambda g: g - GRID[MID + 2]),
+               ScriptedWindow(lambda g: (g - outside) * (g - inside)),
+               ScriptedWindow(lambda g: 1.0), ScriptedWindow(lambda g: (g - 0.9) * (g - 1.05)),
+               *(ScriptedWindow(lambda g, root=root: g - root, reference)
+                 for reference, root in CLIPPED)]
+    together = local_roots(*windows)
+    alone = np.array([local_roots(window)[0] for window in windows])
+    assert together.tobytes() == alone.tobytes()
+    assert np.isnan(together).tolist() == [False, True, False, True, True, False] + [False] * 4
+    assert together[5] == pytest.approx(1.05)
+
+
+def test_block_solve_is_each_windows_estimate():
+    # k = 1 and 2, a fully censored top window, and alpha = 0, whose value
+    # is MNS, or NaN where MNS is 0
     rng = np.random.default_rng(8)
-    s = ordered_from_arrays(rng.pareto(2.0, 300) + 1, (rng.random(300) < 0.7).astype(int))
-    window = MdpdWindow(s, 60)
-    assert window._local_root(alpha, options) is None
-    assert window.gamma1_hat(alpha, options) == window.estimate(alpha, options).gamma1_hat
-
-
-def test_local_scan_calls_brent_through_the_module(monkeypatch):
-    calls = []
-    brentq = estimators.brentq
-
-    def counting_brentq(*args, **kwargs):
-        calls.append(args[1:3])
-        return brentq(*args, **kwargs)
-
-    monkeypatch.setattr(estimators, "brentq", counting_brentq)
-    window = ScriptedWindow(lambda g: g - 1.1)
-    assert window._local_root(0.5, SolverOptions()) == pytest.approx(1.1)
-    assert len(calls) == 1 and calls[0][0] < 1.1 < calls[0][1]
+    samples = [ordered_from_arrays(rng.pareto(2.0, 300) + 1,
+                                   (rng.random(300) < 0.7).astype(int)) for _ in range(6)]
+    samples.append(ordered_from_arrays(np.arange(1.0, 301.0), np.r_[np.ones(200), np.zeros(100)]))
+    alphas = (0.0, 0.1, 0.5, 1.0)
+    tops = np.stack([s.z_sorted for s in samples])
+    deltas = np.stack([s.delta_concomitant for s in samples])
+    for k in (1, 2, 60, 150, 299):
+        block = estimators._solve_windows(tops, deltas, k, alphas)
+        for r, sample in enumerate(samples):
+            for a, alpha in enumerate(alphas):
+                try:
+                    want = MdpdWindow(sample, k).estimate(alpha).gamma1_hat
+                except EstimationError:
+                    want = np.nan
+                assert np.array(want).tobytes() == block[r, a].tobytes(), (k, r, alpha)
+    assert np.isnan(estimators._solve_windows(tops[-1:], deltas[-1:], 60, alphas)).all()
 
 
 # estimators.brentq against scipy.optimize.brentq, which it ports
@@ -601,6 +651,120 @@ def test_brentq_port_is_scipy_on_sweep_windows(monkeypatch):
     assert len(port) == 1800 and len(port_calls) >= 1800
     assert port == scipy
     assert port_calls == scipy_calls
+
+
+def sweep_samples(replicates):
+    """Ordered samples of the sweep-eps40 spec (n = 1000, seed 0)."""
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55))
+    return [ordered_from_arrays(*sample_contaminated_censored(
+                1000, model, ContaminationSpec(epsilon=0.4, theta1=0.6), 0, r))
+            for r in range(replicates)]
+
+
+def test_stacked_windows_are_each_windows_arrays():
+    samples = sweep_samples(50)
+    tops = np.stack([s.z_sorted[-301:] for s in samples])
+    deltas = np.stack([s.delta_concomitant[-301:] for s in samples])
+    for k in range(50, 301, 50):
+        stacked = estimators._stacked_windows(tops, deltas, k)
+        for r, sample in enumerate(samples):
+            window = MdpdWindow(sample, k)
+            assert window.reference == mns_estimator(sample, k)
+            expected = (window.log_exc, mdpd_weights(sample, k), window._weighted_neg_log,
+                        window.reference)
+            assert [a[r].tobytes() for a in stacked] == [np.asarray(e).tobytes()
+                                                        for e in expected]
+
+
+@pytest.mark.parametrize("k", [50, 300, 1000, 5000])
+def test_stacked_residuals_are_each_windows_residuals(k):
+    # each value is its own one-row product, so stacking windows and points
+    # leaves every bit of MdpdWindow.residual
+    rng = np.random.default_rng(k)
+    samples = [ordered_from_arrays(rng.pareto(1.5, k + 301) + 1,
+                                   (rng.random(k + 301) < 0.6).astype(int)) for _ in range(5)]
+    windows = [MdpdWindow(s, k) for s in samples]
+    g = rng.uniform(0.05, 3.0, (5, 7))
+    alpha = rng.choice([0.1, 0.5, 1.0], (5, 1))
+    stacked = estimators._stacked_residuals(
+        alpha, g, *(np.stack([getattr(w, name) for w in windows])
+                    for name in ("log_exc", "weights", "_weighted_neg_log")))
+    expected = [[w.residual(x, a) for x in row] for w, row, (a,) in zip(windows, g, alpha)]
+    assert stacked.tobytes() == np.array(expected).tobytes()
+
+
+# estimators._brent_many against estimators.brentq, bracket by bracket
+
+TOLERANCES = [(1e-14, 8.9e-16, 100), (2e-12, 4 * np.finfo(float).eps, 200), (1e-6, 1e-8, 5)]
+
+
+def polynomial_brackets():
+    """The brackets of test_brentq_port_is_scipy_on_random_polynomials, by tolerance set.
+
+    Each is (coefficients, a, b, outcome), the outcome being brentq's
+    (root, iterations) or the type of the error it raised.
+    """
+    rng = np.random.default_rng(0)
+    brackets = [[], [], []]
+    for trial in range(3000):
+        coef = rng.normal(size=rng.integers(2, 7)) * 10.0 ** rng.integers(-250, 5)
+        a, b = rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)
+        xtol, rtol, maxiter = TOLERANCES[trial % 3]
+        try:
+            root, info = estimators.brentq(lambda x, c: float(np.polyval(c, x)), a, b, (coef,),
+                                           xtol, rtol, maxiter)
+            outcome = (root, info.iterations)
+        except (ValueError, RuntimeError) as exc:
+            outcome = type(exc)
+        brackets[trial % 3].append((coef, a, b, outcome))
+    return brackets
+
+
+def polynomials(coefs):
+    return lambda idx, x: np.array([np.polyval(coefs[j], xj) for j, xj in zip(idx, x)])
+
+
+def test_brent_many_is_brentq_on_random_polynomials():
+    # one call per tolerance set, over every bracket where brentq finds a
+    # root; coefficients down to 1e-250 take the zero-divisor path
+    for (xtol, rtol, maxiter), brackets in zip(TOLERANCES, polynomial_brackets()):
+        solved = [b for b in brackets if isinstance(b[3], tuple)]
+        assert len(solved) > 30
+        coefs, a, b, outcomes = zip(*solved)
+        roots, iterations = estimators._brent_many(polynomials(coefs), np.array(a), np.array(b),
+                                                   xtol, rtol, maxiter)
+        assert [r.hex() for r in roots] == [root.hex() for root, _ in outcomes]
+        assert iterations.tolist() == [its for _, its in outcomes]
+
+
+def test_brent_many_raises_where_brentq_runs_out_of_iterations():
+    (xtol, rtol, maxiter), brackets = TOLERANCES[2], polynomial_brackets()[2]
+    exhausted = [bracket for bracket in brackets if bracket[3] is RuntimeError]
+    solved = [bracket for bracket in brackets if isinstance(bracket[3], tuple)]
+    assert exhausted
+    for mixed in ([exhausted[0]], [*solved[:5], exhausted[0], *solved[5:10]]):
+        coefs, a, b, _ = zip(*mixed)
+        with pytest.raises(RuntimeError, match=f"after {maxiter} iterations"):
+            estimators._brent_many(polynomials(coefs), np.array(a), np.array(b),
+                                   xtol, rtol, maxiter)
+
+
+def test_brent_many_returns_a_zero_at_a_bracket_end_after_no_iteration():
+    # the brackets of the brentq test above, and one that iterates, in one call
+    functions = [lambda x: x - 0.5, lambda x: x - 0.5, lambda x: 0.0, lambda x: x ** 3 - 2.0]
+    a, b = np.array([0.5, 0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.5, 5.0])
+    roots, iterations = estimators._brent_many(
+        lambda idx, x: np.array([functions[j](xj) for j, xj in zip(idx, x)]), a, b,
+        2e-12, 4 * np.finfo(float).eps, 100)
+    root, info = estimators.brentq(functions[3], 0.0, 5.0, (), 2e-12, 4 * np.finfo(float).eps, 100)
+    assert roots.tolist() == [0.5, 0.5, 0.0, root]
+    assert iterations.tolist() == [0, 0, 0, info.iterations] and info.iterations > 0
+
+
+def test_brent_many_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        estimators._brent_many(lambda idx, x: x + 1.0, np.array([0.0, -2.0]),
+                               np.array([0.5, 0.5]), 2e-12, 4 * np.finfo(float).eps, 100)
 
 
 # twelve windows of contaminated, censored samples: the Nelson-Aalen weights

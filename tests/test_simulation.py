@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,9 +22,9 @@ from tailcens import (
     run_sweep,
     sample_contaminated_censored,
 )
-from tailcens import simulation
+from tailcens import estimators, simulation
 from tailcens.estimators import _uncensored_fraction
-from tailcens.simulation import _draw_arrays, _replicate_estimates, _replicate_rng
+from tailcens.simulation import _block_estimates, _draw_arrays, _replicate_range, _replicate_rng
 
 from oracles import draw_arrays_where
 
@@ -200,31 +201,84 @@ def full_scan_estimates(spec, replicate):
     return out
 
 
+SWEEP_EPS40 = dict(n=1000, model=ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55)),
+                   contamination=ContaminationSpec(epsilon=0.4, theta1=0.6),
+                   alphas=(0.0, 0.1, 0.5, 1.0), k_grid=(50, 100, 150, 200, 250, 300))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("epsilon", [0.0, 0.4])
 def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     # the sweep-eps40 configuration; replicates 100 (seed 1) and 1 and 162
-    # (seed 7) hold the only eps = 0.4 cells whose local scan falls back
-    spec = make_spec(n=1000, model=ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55)),
-                     contamination=ContaminationSpec(epsilon=epsilon, theta1=0.6),
-                     alphas=(0.0, 0.1, 0.5, 1.0), k_grid=(50, 100, 150, 200, 250, 300),
-                     seed=seed)
+    # (seed 7) hold the only eps = 0.4 cells whose local scan falls back.
+    # One block of all the replicates, each replicate on its own and the
+    # full scan give the same bytes
+    spec = make_spec(**{**SWEEP_EPS40, "seed": seed,
+                        "contamination": ContaminationSpec(epsilon=epsilon, theta1=0.6)})
     outcomes = []
-    local_root = MdpdWindow._local_root
+    local_roots = estimators._local_roots
 
-    def counted(self, alpha, options):
-        root = local_root(self, alpha, options)
-        if alpha > 0:
-            outcomes.append(root is None)
-        return root
+    def counted(residual, reference):
+        found = local_roots(residual, reference)
+        outcomes.extend(np.isnan(found).tolist())
+        return found
 
-    monkeypatch.setattr(MdpdWindow, "_local_root", counted)
-    for replicate in [*range(40), 100, 162]:
-        assert (_replicate_estimates(spec, replicate).tobytes()
-                == full_scan_estimates(spec, replicate).tobytes())
+    monkeypatch.setattr(estimators, "_local_roots", counted)
+    replicates = [*range(40), 100, 162]
+    block = _block_estimates(spec, replicates)
+    assert block.tobytes() == np.concatenate([_block_estimates(spec, [r])
+                                              for r in replicates]).tobytes()
+    assert block.tobytes() == np.stack([full_scan_estimates(spec, r)
+                                        for r in replicates]).tobytes()
     # both paths ran; no cell of seed 0 at eps = 0.4 falls back
     assert not all(outcomes)
     assert any(outcomes) == ((seed, epsilon) != (0, 0.4))
+
+
+def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
+    spec = make_spec(**SWEEP_EPS40, replicates=30)
+    sizes = []
+
+    def recorded(spec, replicates):
+        sizes.append(len(replicates))
+        return _block_estimates(spec, replicates)
+
+    monkeypatch.setattr(simulation, "_block_estimates", recorded)
+    whole = _replicate_range(spec, 3, 30)
+    # 3 cells at alpha > 0 with 16 scanned rows of k <= 300, and the 301
+    # largest observations: 8 * 300 * 49 = 117 600 bytes a replicate
+    assert sizes == [26, 1]
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 117_600 - 1)
+    sizes.clear()
+    assert _replicate_range(spec, 3, 30).tobytes() == whole.tobytes()
+    assert sizes == [3] * 9
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 1)
+    sizes.clear()
+    assert _replicate_range(spec, 3, 6).tobytes() == whole[:3].tobytes()
+    assert sizes == [1, 1, 1]
+
+
+def traced_peak_mib(spec):
+    """tracemalloc peak of a serial _replicate_range over every replicate of spec."""
+    _replicate_range(spec, 0, 1)  # first-use imports and caches are not the sweep's
+    tracemalloc.start()
+    try:
+        _replicate_range(spec, 0, spec.replicates)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_replicate_range_memory_is_bounded():
+    # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB; the
+    # sweep-eps40 spec peaked at 3.32 MiB, in blocks of 26 replicates
+    assert traced_peak_mib(make_spec(**SWEEP_EPS40, replicates=200)) <= 4.0
+    # at k = 5000 a block is one replicate, whose three scans take 1.83 MiB;
+    # it peaked at 2.49 MiB, against 1.42 MiB for the cell-by-cell solve
+    # that the block solve replaced
+    big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
+                    replicates=4)
+    assert traced_peak_mib(big) <= 2 * 1.42
 
 
 def test_sweep_jensen():
