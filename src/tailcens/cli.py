@@ -360,14 +360,11 @@ def cmd_estimate(args) -> int:
     sample = ordered_from_arrays(*read_dataset(args.file))
     ks = _k_range(args, sample.n)
     alphas = args.alpha if args.alpha else [0.0]
-    lo, hi = args.domain
-    if not (0 < lo < np.inf and 0 < hi < np.inf):
-        raise CliError("--domain bounds must be positive and finite")
     # every cell and the solver options are validated before the header, so
     # a bad argument writes nothing
     with _argument_errors():
         cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
-        options = SolverOptions(domain_lo=lo, domain_hi=hi, tol_abs=args.tol)
+        options = SolverOptions(*args.domain, tol_abs=args.tol)
     out = sys.stdout
     out.write("k,alpha,method,gamma1_hat,residual\n")
     for k, configs in zip(ks, cells):

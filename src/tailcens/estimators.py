@@ -25,6 +25,9 @@ from .sample_model import OrderedSample, TailConfig, top_log_excesses
 
 # grid rows that _local_roots scans around the MNS reference
 LOCAL_ROWS = 16
+# points of the scan grid over the search domain, and Brent iterations per bracket
+GRID_POINTS = 200
+MAX_ITER = 200
 
 
 class EstimationError(ValueError):
@@ -50,24 +53,21 @@ class SolverOptions:
 
     domain_lo: float = 1e-6
     domain_hi: float = 50.0
-    grid_points: int = 200
     tol_abs: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self):
         if not (np.isfinite(self.tol_abs) and self.tol_abs > 0):
             raise ValueError(f"tol_abs={self.tol_abs} must be finite and > 0")
+        if not (0 < self.domain_lo < np.inf and 0 < self.domain_hi < np.inf):
+            raise ValueError(f"domain bounds ({self.domain_lo}, {self.domain_hi}) "
+                             "must be positive and finite")
         if self.domain_lo == self.domain_hi:
             raise ValueError(f"domain bounds must differ, got {self.domain_lo} twice")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points={self.grid_points} must be >= 2")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter={self.max_iter} must be >= 1")
 
     @cached_property
     def grid(self) -> np.ndarray:
         """Geometric scan grid over the search domain; built once, read-only."""
-        grid = np.geomspace(self.domain_lo, self.domain_hi, self.grid_points)
+        grid = np.geomspace(self.domain_lo, self.domain_hi, GRID_POINTS)
         grid.flags.writeable = False
         return grid
 
@@ -88,66 +88,35 @@ def brentq(f, a: float, b: float, args: tuple, xtol: float, rtol: float,
            maxiter: int) -> tuple[float, SimpleNamespace]:
     """Root of f(x, *args) in the bracket [a, b] by Brent's method, as (root, info).
 
-    A line-for-line port of scipy's ``brentq.c``: root, iterations and function
-    calls equal scipy.optimize.brentq's for finite f, except at a zero bracket
-    end (0 iterations here, unset in scipy).  Raises ValueError if f(a) and
-    f(b) have the same sign, RuntimeError after maxiter iterations.
+    The one-bracket case of :func:`_brent_many`, so root, iterations and
+    function calls equal scipy.optimize.brentq's (see there).  Raises
+    ValueError if f(a) and f(b) have the same sign, RuntimeError after
+    maxiter iterations.
     """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
-    if fpre == 0 or fcur == 0:
-        return (xpre if fpre == 0 else xcur), SimpleNamespace(iterations=0, function_calls=2)
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, maxiter + 1):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, SimpleNamespace(iterations=i, function_calls=i + 1)
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = np.inf  # C's inf or nan here fails the step test below
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur, *args)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    roots, iterations = _brent_many(lambda idx, x: np.array([f(float(x[0]), *args)], dtype=float),
+                                    [a], [b], xtol, rtol, maxiter)
+    its = int(iterations[0])
+    # f is called at both bracket ends, then once per iteration after the first
+    return float(roots[0]), SimpleNamespace(iterations=its, function_calls=max(its, 1) + 1)
 
 
 def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
                 b: np.ndarray, xtol: float, rtol: float,
                 maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`brentq` on every bracket [a[j], b[j]] at once, as (roots, iterations).
+    """Brent's method on every bracket [a[j], b[j]] at once, as (roots, iterations).
 
     f(idx, x) returns, for each j, the function of bracket idx[j] at x[j];
     it is asked only for the brackets still iterating, and a bracket that
-    converges leaves the working arrays.  Each step is :func:`brentq`'s,
-    element by element, so each root and iteration count equals
-    :func:`brentq`'s on that bracket: a zero divisor, which raises
-    ZeroDivisionError there, gives the step inf here, and Python's
-    ``min(u, v)`` is ``where(v < u, v, u)``, which differs from
-    ``np.minimum`` at NaN.  Raises ValueError if some f(a) and f(b) have
-    the same sign, RuntimeError if a bracket is left after maxiter
-    iterations.
+    converges leaves the working arrays, so each bracket gets the root and
+    iteration count it gets alone.  Each step is scipy's ``brentq.c``
+    element by element: root, iterations and function calls equal
+    scipy.optimize.brentq's for finite f, except at a zero bracket end (0
+    iterations here, unset in scipy).  A zero divisor sets the step to inf
+    by a mask, which fails the step test as C's inf or nan does, and the
+    bound ``min(u, v)`` is ``where(v < u, v, u)``, not ``np.minimum``,
+    which differs at NaN.  :func:`brentq` is the one-bracket case.  Raises
+    ValueError if some f(a) and f(b) have the same sign, RuntimeError if a
+    bracket is left after maxiter iterations.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
     roots = np.empty_like(xpre)
@@ -184,7 +153,7 @@ def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
                                       delta, sbis))
                 if idx.size == 0:
                     return roots, iterations
-            # the interpolated step, inf wherever brentq divides by zero
+            # the interpolated step, inf at every zero divisor
             secant = xpre == xblk
             d_sec, d_pre, d_blk = fcur - fpre, xpre - xcur, xblk - xcur
             dpre, dblk = (fpre - fcur) / d_pre, (fblk - fcur) / d_blk
@@ -286,10 +255,9 @@ class MdpdWindow:
 
     Holds what the estimating equation needs that does not depend on alpha,
     each computed on first use: the weights a_ik, the log-excesses L_i, the
-    products a_ik * -L_i and the MNS reference; and a scratch buffer that
-    each :meth:`residual` call overwrites.  Each residual is reduced as its
-    own one-row product, so its bits do not depend on the rows computed with
-    it.  Not safe to share between threads.
+    products a_ik * -L_i and the MNS reference.  Each residual is reduced as
+    its own one-row product, so its bits do not depend on the rows computed
+    with it.
     """
 
     def __init__(self, sample: OrderedSample, k: int):
@@ -297,7 +265,6 @@ class MdpdWindow:
             raise ValueError(f"k={k} out of range for sample size n={sample.n}")
         self.sample = sample
         self.k = k
-        self._point = np.empty((1, k))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -317,25 +284,13 @@ class MdpdWindow:
         return mns_estimator(self.sample, self.k)
 
     def _residuals(self, g: np.ndarray, alpha: float) -> np.ndarray:
-        """Residual at each gamma1 of the 1-d array g, bit-equal to :meth:`residual` there."""
+        """Residual at each gamma1 of the 1-d array g."""
         return _stacked_residuals(alpha, g[None, :], self.log_exc[None, :], self.weights[None, :],
                                   self._weighted_neg_log[None, :])[0]
 
     def residual(self, gamma1: float, alpha: float) -> float:
-        """Residual of the estimating equation at one gamma1.
-
-        The arithmetic of :meth:`_residuals` on a one-point grid, operation
-        for operation (``d * d`` is what numpy's ``** 2`` computes), without
-        the small-array overhead that would dominate Brent's many calls.  So
-        it equals the value of any scan at gamma1, bit for bit.
-        """
-        g = float(gamma1)
-        powers = self._point
-        np.multiply(self.log_exc, -alpha * (1.0 + 1.0 / g), out=powers[0])
-        np.exp(powers, out=powers)
-        d = 1.0 + alpha + alpha * g
-        return float((powers @ self._weighted_neg_log)[0] + (powers @ self.weights)[0] * g
-                     - alpha * g * (g + 1.0) / (d * d))
+        """Residual of the estimating equation at one gamma1: :meth:`_residuals` at one point."""
+        return float(self._residuals(np.array([float(gamma1)]), alpha)[0])
 
     def _roots(self, alpha: float, options: SolverOptions) -> list[tuple]:
         """Roots on the grid, as (root, residual, bracket, iterations).
@@ -357,7 +312,7 @@ class MdpdWindow:
         for j in sign_change:
             a, b = float(grid[j]), float(grid[j + 1])
             root, info = brentq(self.residual, a, b, args=(alpha,), xtol=1e-14,
-                                rtol=8.9e-16, maxiter=options.max_iter)
+                                rtol=8.9e-16, maxiter=MAX_ITER)
             res = self.residual(root, alpha)
             if abs(res) <= options.tol_abs:
                 roots.append((root, res, (a, b), info.iterations))
@@ -440,7 +395,7 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return residual(cell[idx], x[:, None])[:, 0]
 
     roots, _ = _brent_many(f, points[cell, row], points[cell, row + 1], xtol=1e-14,
-                           rtol=8.9e-16, maxiter=_SWEEP_OPTIONS.max_iter)
+                           rtol=8.9e-16, maxiter=MAX_ITER)
     met = np.abs(f(np.arange(cell.size), roots)) <= _SWEEP_OPTIONS.tol_abs
     cell, row, roots = cell[met], row[met], roots[met]
     # candidates in the full scan's order: exact zeros, then Brent roots;

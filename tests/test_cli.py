@@ -406,7 +406,7 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
      "epsilon=1.0 must lie in [0, 1)"),
     (["estimate", "DATA", "--k-min", "0"], "k=0 must be >= 1"),
     (["estimate", "DATA", "--k-min", "1", "--domain", "0", "5"],
-     "--domain bounds must be positive and finite"),
+     "domain bounds (0.0, 5.0) must be positive and finite"),
     (["estimate", "DATA", "--k-min", "1", "--tol=-1"], "tol_abs=-1.0 must be finite and > 0"),
     (["estimate", "DATA", "--k-min", "1", "--tol", "0"], "tol_abs=0.0 must be finite and > 0"),
     (["estimate", "DATA", "--k-min", "1", "--tol", "nan"], "tol_abs=nan must be finite and > 0"),

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_mdpd_all_censored_error():
 
 def test_no_root_error_carries_grid():
     s = ordered_from_arrays([1, 2, 4], [1, 1, 1])
-    options = SolverOptions(domain_lo=40.0, domain_hi=50.0, grid_points=20)
+    options = SolverOptions(domain_lo=40.0, domain_hi=50.0)
     with pytest.raises(NoRootError) as excinfo:
         mdpd_estimate(s, TailConfig(k=2, alpha=0.5), options)
     assert excinfo.value.grid is not None
@@ -339,13 +340,28 @@ def test_window_estimates_equal_single_cell_estimates():
     z = rng.pareto(2.0, 400) + 1
     d = (rng.random(400) < 0.7).astype(int)
     s = ordered_from_arrays(z, d)
-    coarse = SolverOptions(grid_points=50)
+    narrow = SolverOptions(domain_lo=0.05, domain_hi=5.0)
     for k in (5, 60, 200):
         window = MdpdWindow(s, k)
         for alpha, options in [(0.5, SolverOptions()), (0.0, SolverOptions()),
-                               (0.1, coarse), (1.0, SolverOptions()), (0.3, coarse)]:
+                               (0.1, narrow), (1.0, SolverOptions()), (0.3, narrow)]:
             assert window.estimate(alpha, options) == mdpd_estimate(
                 s, TailConfig(k=k, alpha=alpha), options)
+
+
+def test_window_shared_by_threads_gives_the_serial_estimates():
+    # one window, its cached arrays unbuilt, solved at 40 alphas from 8
+    # threads at once: numpy releases the GIL inside each residual, so any
+    # state that one solve writes and another reads would show here
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.55))
+    sample = ordered_from_arrays(*sample_contaminated_censored(
+        20000, model, ContaminationSpec(epsilon=0.1, theta1=0.6), seed=5))
+    alphas = np.linspace(0.025, 1.0, 40).tolist()
+    for k in (300, 2000, 5000):
+        serial = [MdpdWindow(sample, k).estimate(alpha) for alpha in alphas]
+        shared = MdpdWindow(sample, k)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(shared.estimate, alphas)) == serial
 
 
 def test_mdpd_iterations_are_brent_count():
@@ -362,12 +378,20 @@ def test_mdpd_iterations_are_brent_count():
 
 def test_solver_options_validation():
     for bad in (dict(tol_abs=-1.0), dict(tol_abs=0.0), dict(tol_abs=float("nan")),
-                dict(tol_abs=float("inf")), dict(domain_lo=2.0, domain_hi=2.0),
-                dict(grid_points=1), dict(max_iter=0)):
+                dict(tol_abs=float("inf")), dict(domain_lo=2.0, domain_hi=2.0)):
         with pytest.raises(ValueError):
             SolverOptions(**bad)
+    # at the first solve such bounds gave numpy's own error, overflow
+    # warnings and a NoRootError, or a nan grid; now the options say why
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in ((0.0, 50.0), (1e-6, 0.0), (-50.0, -1e-6), (-1.0, 5.0), (nan, 50.0),
+                   (1e-6, nan), (1e-6, inf), (inf, 50.0), (-inf, 5.0)):
+        with pytest.raises(ValueError) as excinfo:
+            SolverOptions(domain_lo=lo, domain_hi=hi)
+        assert str(excinfo.value) == f"domain bounds ({lo}, {hi}) must be positive and finite"
     assert SolverOptions(domain_lo=50.0, domain_hi=1e-6).grid[0] == 50.0
-    assert SolverOptions(grid_points=2, max_iter=1).grid.size == 2
+    grid = SolverOptions(domain_lo=0.5, domain_hi=8.0).grid
+    assert grid.size == estimators.GRID_POINTS and (grid[0], grid[-1]) == (0.5, 8.0)
 
 
 # The local scan of the sweep's block solve against the full scan of
@@ -693,7 +717,8 @@ def test_stacked_residuals_are_each_windows_residuals(k):
     assert stacked.tobytes() == np.array(expected).tobytes()
 
 
-# estimators._brent_many against estimators.brentq, bracket by bracket
+# estimators._brent_many on a batch of brackets against each bracket solved
+# alone, by estimators.brentq, its one-bracket case
 
 TOLERANCES = [(1e-14, 8.9e-16, 100), (2e-12, 4 * np.finfo(float).eps, 200), (1e-6, 1e-8, 5)]
 
@@ -724,7 +749,7 @@ def polynomials(coefs):
     return lambda idx, x: np.array([np.polyval(coefs[j], xj) for j, xj in zip(idx, x)])
 
 
-def test_brent_many_is_brentq_on_random_polynomials():
+def test_brent_many_batch_is_each_bracket_alone_on_random_polynomials():
     # one call per tolerance set, over every bracket where brentq finds a
     # root; coefficients down to 1e-250 take the zero-divisor path
     for (xtol, rtol, maxiter), brackets in zip(TOLERANCES, polynomial_brackets()):
