@@ -93,38 +93,45 @@ def brentq(f, a: float, b: float, args: tuple, xtol: float, rtol: float,
     ValueError if f(a) and f(b) have the same sign, RuntimeError after
     maxiter iterations.
     """
-    roots, iterations = _brent_many(lambda idx, x: np.array([f(float(x[0]), *args)], dtype=float),
-                                    [a], [b], xtol, rtol, maxiter)
+    def one(idx, x):
+        return np.array([f(float(x[0]), *args)], dtype=float)
+
+    roots, iterations, _ = _brent_many(one, [a], [b], xtol, rtol, maxiter)
     its = int(iterations[0])
     # f is called at both bracket ends, then once per iteration after the first
     return float(roots[0]), SimpleNamespace(iterations=its, function_calls=max(its, 1) + 1)
 
 
 def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray,
-                b: np.ndarray, xtol: float, rtol: float,
-                maxiter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brent's method on every bracket [a[j], b[j]] at once, as (roots, iterations).
+                b: np.ndarray, xtol: float, rtol: float, maxiter: int,
+                fa: np.ndarray | None = None,
+                fb: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brent's method on every bracket [a[j], b[j]] at once, as (roots, iterations, values).
 
     f(idx, x) returns, for each j, the function of bracket idx[j] at x[j];
-    it is asked only for the brackets still iterating, and a bracket that
-    converges leaves the working arrays, so each bracket gets the root and
-    iteration count it gets alone.  Each step is scipy's ``brentq.c``
-    element by element: root, iterations and function calls equal
-    scipy.optimize.brentq's for finite f, except at a zero bracket end (0
-    iterations here, unset in scipy).  A zero divisor sets the step to inf
-    by a mask, which fails the step test as C's inf or nan does, and the
-    bound ``min(u, v)`` is ``where(v < u, v, u)``, not ``np.minimum``,
+    it is asked only for the brackets still iterating, in increasing order
+    of idx, and a bracket that converges leaves the working arrays, so each
+    bracket gets the root and iteration count it gets alone.  fa and fb,
+    where given, are f at a and b, which is then not evaluated there again;
+    values[j] is f at roots[j], as f returned it.  Each step is scipy's
+    ``brentq.c`` element by element: root, iterations and function calls
+    equal scipy.optimize.brentq's for finite f, except at a zero bracket
+    end (0 iterations here, unset in scipy).  A zero divisor sets the step
+    to inf by a mask, which fails the step test as C's inf or nan does, and
+    the bound ``min(u, v)`` is ``where(v < u, v, u)``, not ``np.minimum``,
     which differs at NaN.  :func:`brentq` is the one-bracket case.  Raises
     ValueError if some f(a) and f(b) have the same sign, RuntimeError if a
     bracket is left after maxiter iterations.
     """
     xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
-    roots = np.empty_like(xpre)
+    roots, values = np.empty_like(xpre), np.empty_like(xpre)
     iterations = np.zeros(xpre.size, dtype=np.int64)
     idx = np.arange(xpre.size)
-    fpre, fcur = f(idx, xpre), f(idx, xcur)
+    fpre = f(idx, xpre) if fa is None else np.array(fa, dtype=float)
+    fcur = f(idx, xcur) if fb is None else np.array(fb, dtype=float)
     at_end = (fpre == 0) | (fcur == 0)
     roots[at_end] = np.where(fpre == 0, xpre, xcur)[at_end]
+    values[at_end] = np.where(fpre == 0, fpre, fcur)[at_end]
     if np.any(~at_end & ((fpre < 0) == (fcur < 0))):
         raise ValueError("f(a) and f(b) must have different signs")
     live = ~at_end
@@ -133,7 +140,7 @@ def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
     with np.errstate(all="ignore"):
         for i in range(1, maxiter + 1):
             if idx.size == 0:
-                return roots, iterations
+                return roots, iterations, values
             flip = (fpre != 0) & (fcur != 0) & ((fpre < 0) != (fcur < 0))
             xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
             spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
@@ -146,13 +153,14 @@ def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
             sbis = (xblk - xcur) / 2
             done = (fcur == 0) | (np.abs(sbis) < delta)
             if np.any(done):
-                roots[idx[done]], iterations[idx[done]] = xcur[done], i
+                finished = idx[done]
+                roots[finished], iterations[finished], values[finished] = xcur[done], i, fcur[done]
                 live = ~done
                 idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
                     v[live] for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur,
                                       delta, sbis))
                 if idx.size == 0:
-                    return roots, iterations
+                    return roots, iterations, values
             # the interpolated step, inf at every zero divisor
             secant = xpre == xblk
             d_sec, d_pre, d_blk = fcur - fpre, xpre - xcur, xblk - xcur
@@ -172,7 +180,7 @@ def _brent_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray
             fcur = f(idx, xcur)
     if idx.size:
         raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-    return roots, iterations
+    return roots, iterations, values
 
 
 def hill_gamma(sample: OrderedSample, k: int) -> float:
@@ -366,20 +374,22 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Cell c is one window at one alpha > 0; residual(cells, g) returns, for
     each j, the residuals of cell cells[j] at the points g[j, :], with the
     bits of its full scan (see :func:`_stacked_residuals`); cells is an
-    index array, or ``slice(None)`` for every cell in order.  A cell scans
-    the rows from ``clip(searchsorted(grid, reference[c]) - LOCAL_ROWS // 2,
-    0, grid.size - LOCAL_ROWS)``.  Its candidates are, as in
-    :meth:`MdpdWindow.estimate`, first the rows where the residual is
-    exactly 0, then the Brent root of each sign change in row order whose
-    residual meets ``tol_abs``; the nearest to the reference wins,
-    the first of equals on a tie.  Every bracket of every cell is refined
-    in one :func:`_brent_many`.  Since the scanned rows are the full
-    scan's, their roots are the full scan's roots inside the window, and
-    the winner is returned only if it is strictly closer to the reference
-    than both window edges, an edge on a grid end counting as infinitely
-    far: any root outside the window lies beyond an edge, so it cannot be
-    nearer.  A cell without candidates, or whose winner fails that test,
-    gets NaN.
+    index array in nondecreasing order, or ``slice(None)`` for every cell
+    in order.  A cell scans the rows from ``clip(searchsorted(grid,
+    reference[c]) - LOCAL_ROWS // 2, 0, grid.size - LOCAL_ROWS)``.  Its
+    candidates are, as in :meth:`MdpdWindow.estimate`, first the rows where
+    the residual is exactly 0, then the Brent root of each sign change in
+    row order whose residual meets ``tol_abs``; the nearest to the
+    reference wins, the first of equals on a tie.  Every bracket of every
+    cell is refined in one :func:`_brent_many`, which starts from the
+    scanned values at the bracket ends and returns the residual at each
+    root, so no value is computed twice.  Since the scanned rows are the
+    full scan's, their roots are the full scan's roots inside the window,
+    and the winner is returned only if it is strictly closer to the
+    reference than both window edges, an edge on a grid end counting as
+    infinitely far: any root outside the window lies beyond an edge, so it
+    cannot be nearer.  A cell without candidates, or whose winner fails
+    that test, gets NaN.
     """
     grid = _SWEEP_OPTIONS.grid
     found = np.full(reference.size, np.nan)
@@ -390,13 +400,11 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     zero_cell, zero_row = np.nonzero(values == 0.0)
     cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
-
-    def f(idx, x):
-        return residual(cell[idx], x[:, None])[:, 0]
-
-    roots, _ = _brent_many(f, points[cell, row], points[cell, row + 1], xtol=1e-14,
-                           rtol=8.9e-16, maxiter=MAX_ITER)
-    met = np.abs(f(np.arange(cell.size), roots)) <= _SWEEP_OPTIONS.tol_abs
+    roots, _, at_roots = _brent_many(
+        lambda idx, x: residual(cell[idx], x[:, None])[:, 0],
+        points[cell, row], points[cell, row + 1], xtol=1e-14, rtol=8.9e-16, maxiter=MAX_ITER,
+        fa=values[cell, row], fb=values[cell, row + 1])
+    met = np.abs(at_roots) <= _SWEEP_OPTIONS.tol_abs
     cell, row, roots = cell[met], row[met], roots[met]
     # candidates in the full scan's order: exact zeros, then Brent roots;
     # per cell, the nearest and then the first of equals wins
@@ -433,40 +441,58 @@ def _stacked_windows(tops: np.ndarray, deltas: np.ndarray,
     return log_exc, weights, weights * -log_exc, reference
 
 
-def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k: int, alphas) -> np.ndarray:
-    """MDPD estimates of the top-k windows of R samples at each alpha, shape (R, len(alphas)).
+def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.ndarray:
+    """MDPD estimates of R samples at each (k, alpha), shape (R, len(k_grid), len(alphas)).
 
-    Row r of the (R, m) arrays tops and deltas holds the m > k largest
-    observations of sample r in increasing order and their indicators.
-    Each value is bit-identical to ``MdpdWindow(sample, k).estimate(alpha)
-    .gamma1_hat``, and NaN where that raises EstimationError.  Every cell
-    at alpha > 0 goes through one :func:`_local_roots`, and the cells it
-    leaves unproven through ``MdpdWindow.estimate`` on a sample of the m
-    largest observations, which hold all that a top-k window reads.
+    Row r of the (R, m) arrays tops and deltas holds the m > max(k_grid)
+    largest observations of sample r in increasing order and their
+    indicators.  Each value is bit-identical to ``MdpdWindow(sample, k)
+    .estimate(alpha).gamma1_hat``, and NaN where that raises
+    EstimationError.  The windows are built once per k.  Every cell at
+    alpha > 0, whatever its k, goes through one :func:`_local_roots`: its
+    scan takes one :func:`_stacked_residuals` per k, and each Brent step
+    one per k that still has cells iterating.  The cells it leaves unproven
+    go through ``MdpdWindow.estimate`` on a sample of the m largest
+    observations, which hold all that a top-k window reads.
     """
-    log_exc, weights, weighted_neg_log, reference = _stacked_windows(tops, deltas, k)
     alphas = np.asarray(alphas, dtype=float)
     positive = np.flatnonzero(alphas > 0)
-    size, cells_per_window = tops.shape[0], positive.size
     cell_alphas = alphas[positive]
+    size, cells_per_window = tops.shape[0], positive.size
+    cells_per_k = size * cells_per_window
+    windows = [_stacked_windows(tops, deltas, k) for k in k_grid]
+    # the cells of each k in turn: cell c is at k_grid[c // cells_per_k], window
+    # c % cells_per_k // cells_per_window, alpha cell_alphas[c % cells_per_window]
+    firsts = cells_per_k * np.arange(len(k_grid) + 1)
 
-    # cell c is window c // cells_per_window at alpha cell_alphas[c % cells_per_window]
     def residual(cells, g):
+        out = np.empty(g.shape)
         if isinstance(cells, slice):  # every cell: a window's cells make one row, not a copy
-            return _stacked_residuals(np.repeat(cell_alphas, g.shape[1]), g.reshape(size, -1),
-                                      log_exc, weights, weighted_neg_log).reshape(g.shape)
-        w, a = np.divmod(cells, cells_per_window)
-        return _stacked_residuals(cell_alphas[a][:, None], g, log_exc[w], weights[w],
-                                  weighted_neg_log[w])
+            row_alphas = np.repeat(cell_alphas, g.shape[1])
+            for (log_exc, weights, weighted_neg_log, _), lo, hi in zip(windows, firsts, firsts[1:]):
+                out[lo:hi] = _stacked_residuals(row_alphas, g[lo:hi].reshape(size, -1), log_exc,
+                                                weights, weighted_neg_log).reshape(-1, g.shape[1])
+            return out
+        # cells is nondecreasing, so each k's cells are one slice of it
+        bounds = np.searchsorted(cells, firsts)
+        for (log_exc, weights, weighted_neg_log, _), first, lo, hi in zip(
+                windows, firsts, bounds, bounds[1:]):
+            if lo < hi:
+                w, a = np.divmod(cells[lo:hi] - first, cells_per_window)
+                out[lo:hi] = _stacked_residuals(cell_alphas[a][:, None], g[lo:hi], log_exc[w],
+                                                weights[w], weighted_neg_log[w])
+        return out
 
-    out = np.empty((size, alphas.size))
-    out[:, alphas == 0] = np.where(reference > 0, reference, np.nan)[:, None]
-    out[:, positive] = _local_roots(residual, np.repeat(reference, cells_per_window)).reshape(
-        size, cells_per_window)
-    for r, j in zip(*np.nonzero(np.isnan(out[:, positive]))):
+    references = np.stack([reference for *_, reference in windows], axis=1)
+    out = np.empty((size, len(k_grid), alphas.size))
+    out[:, :, alphas == 0] = np.where(references > 0, references, np.nan)[:, :, None]
+    local = _local_roots(residual, np.repeat(references.T, cells_per_window))
+    out[:, :, positive] = local.reshape(len(k_grid), size, cells_per_window).transpose(1, 0, 2)
+    for r, ki, j in zip(*np.nonzero(np.isnan(out[:, :, positive]))):
         try:
-            window = MdpdWindow(OrderedSample(tops[r], deltas[r]), k)
-            out[r, positive[j]] = window.estimate(float(cell_alphas[j]), _SWEEP_OPTIONS).gamma1_hat
+            window = MdpdWindow(OrderedSample(tops[r], deltas[r]), k_grid[ki])
+            out[r, ki, positive[j]] = window.estimate(float(cell_alphas[j]),
+                                                      _SWEEP_OPTIONS).gamma1_hat
         except EstimationError:
             pass
     return out

@@ -38,8 +38,7 @@ class OrderedSample:
         _check_shapes(z, d)
         if z.size == 0:
             raise InvalidSampleError("empty sample")
-        if np.any(z <= 0) or not np.all(np.isfinite(z)):
-            raise InvalidSampleError("invalid observation: all z must be positive and finite")
+        _check_times(z)
         # z is finite here, so this is the sign test of np.diff without its array
         if np.any(z[1:] < z[:-1]):
             raise InvalidSampleError("z_sorted must be nondecreasing")
@@ -107,6 +106,11 @@ class ModelParams:
 def _check_shapes(z: np.ndarray, d: np.ndarray) -> None:
     if z.ndim != 1 or d.ndim != 1 or z.size != d.size:
         raise InvalidSampleError("z and delta must be 1-d and of equal length")
+
+
+def _check_times(z: np.ndarray) -> None:
+    if np.any(z <= 0) or not np.all(np.isfinite(z)):
+        raise InvalidSampleError("invalid observation: all z must be positive and finite")
 
 
 def order_sample(observed: tuple[Sequence[float], Sequence[int]]) -> OrderedSample:

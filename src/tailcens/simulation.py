@@ -24,14 +24,16 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import LOCAL_ROWS, _solve_windows
-from .sample_model import InvalidSampleError, ModelParams, ordered_from_arrays
+from .sample_model import InvalidSampleError, ModelParams, _check_times
 
 # Contiguous replicate ranges handed to each worker process: more than one
 # per worker, so a worker that finishes early picks up another range.
 CHUNKS_PER_WORKER = 4
 # Bytes that the float64 arrays of one block of replicates, which are
-# solved together, may take: per replicate, the local scans of its cells at
-# alpha > 0 (LOCAL_ROWS x largest k each) and its largest observations.
+# drawn and solved together, may take: per replicate, the local scans of
+# its cells at alpha > 0 (LOCAL_ROWS x largest k each), its largest
+# observations, three n-long draw arrays and the three arrays of each
+# k's window.
 BLOCK_BYTES = 3 << 20
 
 
@@ -96,22 +98,32 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
-                 rng: np.random.Generator):
-    """Latent draws (x, c) and observed (z, delta) as arrays.
+def _uniforms(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """An (R, n) array whose row r is the next n uniforms of rngs[r]."""
+    out = np.empty((len(rngs), n))
+    for row, rng in zip(out, rngs):
+        rng.random(out=row)
+    return out
 
-    The uniforms come from the stream in the order u_mix, u_x, u_c, each
-    n long; each is dropped once used, and the contaminant quantile is
-    evaluated on the contaminated rows only, so no full-length array is
-    kept that the result does not need.  Raises InvalidSampleError where a
-    censoring time underflows to 0, which only a p close to 1 gives.
+
+def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
+                 rngs: Sequence[np.random.Generator]):
+    """Latent draws (x, c) and observed (z, delta) of R samples, as (R, n) arrays.
+
+    Row r comes from the stream rngs[r] alone: its uniforms are drawn in
+    the order u_mix, u_x, u_c, each n long, so a row does not depend on the
+    rows drawn with it.  Each uniform array is dropped once used, and the
+    contaminant quantile is evaluated on the contaminated entries only, so
+    no array the size of the block is kept that the result does not need.
+    Raises InvalidSampleError where a censoring time underflows to 0, which
+    only a p close to 1 gives.
     """
-    contaminated = rng.random(n) < contamination.epsilon
-    u_x = rng.random(n)
+    contaminated = _uniforms(rngs, n) < contamination.epsilon
+    u_x = _uniforms(rngs, n)
     x = burr_quantile(u_x, model.gamma1, model.eta)
     x[contaminated] = burr_quantile(u_x[contaminated], contamination.theta1, model.eta)
     del u_x
-    u_c = rng.random(n)
+    u_c = _uniforms(rngs, n)
     # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
     c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny, out=u_c), model.gamma2)
     del u_c
@@ -134,12 +146,13 @@ def sample_contaminated_censored(n: int, model: ModelParams,
 
     Returns the pair (z, delta) of float64 times and int8 indicators in
     draw order; ``order_sample`` turns it into an OrderedSample.
-    Deterministic for fixed (seed, replicate).
+    Deterministic for fixed (seed, replicate), and equal to that replicate's
+    row of the sweep's block draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, z, delta = _draw_arrays(n, model, contamination, _replicate_rng(seed, replicate))
-    return z, delta
+    _, _, z, delta = _draw_arrays(n, model, contamination, [_replicate_rng(seed, replicate)])
+    return z[0], delta[0]
 
 
 @dataclass(frozen=True)
@@ -176,21 +189,21 @@ class SweepResult:
 def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
     """gamma1_hat of every (replicate, k, alpha) cell of a block of replicates; NaN on failure.
 
-    Each replicate is drawn and ordered on its own stream, and only its
-    max(k_grid) + 1 largest observations are kept.  The cells at each k
-    are solved together by ``estimators._solve_windows``, so every value is
+    The block is drawn as one array, each replicate on its own stream
+    (:func:`_draw_arrays`), and ordered as one: each row's max(k_grid) + 1
+    largest observations are taken in the order of ``np.argsort(z,
+    kind="stable")``, the permutation of ``ordered_from_arrays``, after one
+    check that every time is positive and finite.  Every cell is then
+    solved in one ``estimators._solve_windows``, so every value is
     bit-identical to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
     """
     m = max(spec.k_grid) + 1
-    tops = np.empty((len(replicates), m))
-    deltas = np.empty((len(replicates), m), dtype=np.int8)
-    for i, r in enumerate(replicates):
-        _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
-                                      _replicate_rng(spec.seed, r))
-        sample = ordered_from_arrays(z, delta)
-        tops[i], deltas[i] = sample.z_sorted[-m:], sample.delta_concomitant[-m:]
-    return np.stack([_solve_windows(tops, deltas, k, spec.alphas) for k in spec.k_grid],
-                    axis=1)
+    z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
+                            [_replicate_rng(spec.seed, r) for r in replicates])[2:]
+    _check_times(z)
+    top = np.argsort(z, axis=1, kind="stable")[:, -m:]
+    return _solve_windows(np.take_along_axis(z, top, axis=1),
+                          np.take_along_axis(delta, top, axis=1), spec.k_grid, spec.alphas)
 
 
 def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
@@ -202,7 +215,9 @@ def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     on the replicates solved with it (see :func:`_block_estimates`).
     """
     cells = sum(a > 0 for a in spec.alphas)
-    size = max(1, BLOCK_BYTES // (8 * max(spec.k_grid) * (LOCAL_ROWS * cells + 1)))
+    per_replicate = 8 * (max(spec.k_grid) * (LOCAL_ROWS * cells + 1) + 3 * spec.n
+                         + 3 * sum(spec.k_grid))
+    size = max(1, BLOCK_BYTES // per_replicate)
     return np.concatenate([_block_estimates(spec, range(lo, min(lo + size, stop)))
                            for lo in range(start, stop, size)])
 
@@ -218,9 +233,11 @@ def _process_pool(workers: int):
     """A ``ProcessPoolExecutor`` of ``workers`` processes, joined on exit.
 
     The workers are forked where the platform can fork, and started by its
-    default method otherwise.  Yields None, for the caller to run its work
-    inline, where one worker is asked for or where this process is a daemon
-    (which may not start children).
+    default method otherwise.  ``numpy.random`` is imported here, before
+    any worker starts, so that forked workers inherit it rather than each
+    import it again.  Yields None, for the caller to run its work inline,
+    where one worker is asked for or where this process is a daemon (which
+    may not start children).
     """
     if workers > 1:
         # imported here, so that only pooled work pays for the import
@@ -228,6 +245,8 @@ def _process_pool(workers: int):
 
         if not multiprocessing.current_process().daemon:
             from concurrent.futures import ProcessPoolExecutor
+
+            import numpy.random  # noqa: F401  (inherited by forked workers)
 
             can_fork = "fork" in multiprocessing.get_all_start_methods()
             # fork: workers inherit the imported modules; a fresh interpreter
@@ -248,10 +267,11 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     this process where it is a daemon, each on contiguous replicate
     ranges; the ranges are concatenated in replicate order, so the result
     does not depend on n_jobs or scheduling.  A range is solved in blocks
-    of replicates under BLOCK_BYTES (:func:`_replicate_range`), the cells
-    of a block together: a local root scan with one lockstep Brent pass,
-    falling back to the full scan, which gives every cell the full scan's
-    root bit for bit and does not depend on the block.
+    of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A block is
+    drawn and ordered as one array, and every (k, alpha) cell of it is
+    solved together: a local root scan and one lockstep Brent pass over
+    every k, falling back to the full scan, which gives every cell the full
+    scan's root bit for bit and does not depend on the block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

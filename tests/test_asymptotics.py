@@ -251,6 +251,41 @@ def test_mu_raises_no_warning_for_negative_tau1():
         assert mu(0.5, 0.3, -0.5) > 0
 
 
+def burr_mean_residual_over_a0(gamma1, alpha, eta, t):
+    """I(t) / A0(t): the exact mean residual at the true gamma1 over threshold t, scaled.
+
+    For the Burr law F_bar(x) = (1 + x^(1/eta))^(-eta/gamma1), whose
+    second-order function is A0(t) = gamma1 t^(-1/eta),
+    I(t) = int_1^inf psi'(x) (F_bar(tx)/F_bar(t) - x^(-1/gamma1)) dx with
+    psi(x) = (gamma1 - log x) x^(-beta), beta = alpha (1 + 1/gamma1).  It
+    does not use the bias kernel that mu integrates.
+    """
+    with mpmath.workdps(30):
+        g, a, e, t = (mpmath.mpf(v) for v in (gamma1, alpha, eta, t))
+        beta = a * (1 + 1 / g)
+
+        def integrand(v):  # in x = e^v
+            x = mpmath.exp(v)
+            dpsi = -x ** (-beta - 1) * (1 + beta * (g - v))
+            excess = ((1 + (t * x) ** (1 / e)) / (1 + t ** (1 / e))) ** (-e / g) - x ** (-1 / g)
+            return dpsi * excess * x
+
+        return float(mpmath.quad(integrand, [0, 1, 5, 20, mpmath.inf]) / (g * t ** (-1 / e)))
+
+
+@pytest.mark.parametrize("gamma1,alpha,eta", [(0.3, 0.5, 1.0), (0.3, 1.0, 1.0), (0.5, 0.1, 2.0)])
+def test_mu_is_the_limit_of_the_exact_burr_bias(gamma1, alpha, eta):
+    # I(t)/A0(t) tends to -(gamma1^(alpha+2)/alpha) mu(alpha, gamma1, tau1) with
+    # tau1 = -gamma1/eta; t stays <= 1e6, beyond which the quadrature loses
+    # digits at small eta.  The gap shrinks ~100^(1/eta)-fold per step of t,
+    # and a 1% error in mu's scale would stop it near 1%
+    limit = -(gamma1 ** (alpha + 2) / alpha) * mu(alpha, gamma1, -gamma1 / eta)
+    gaps = [abs(burr_mean_residual_over_a0(gamma1, alpha, eta, t) / limit - 1)
+            for t in (1e2, 1e4, 1e6)]
+    assert gaps[0] > 5 * gaps[1] > 25 * gaps[2]
+    assert gaps[2] < 1e-3
+
+
 @pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID + CONSTANTS_GRID)
 def test_sigma_squared_matches_exact_algebra(alpha, gamma1, p):
     gamma2 = p * gamma1 / (1 - p)

@@ -504,7 +504,8 @@ def test_local_scan_tie_takes_the_lower_root(monkeypatch):
     # kernel and brentq are stubbed to return them exactly, so only the
     # first-of-equals rule decides
     def exact_brent_many(f, a, b, **kwargs):
-        return np.where(b < 1.0, 0.75, 1.25), np.ones(a.size, dtype=int)
+        roots = np.where(b < 1.0, 0.75, 1.25)
+        return roots, np.ones(a.size, dtype=int), f(np.arange(a.size), roots)
 
     def exact_brentq(f, a, b, **kwargs):
         return (0.75 if b < 1.0 else 1.25), SimpleNamespace(iterations=1)
@@ -526,7 +527,8 @@ def test_local_scan_tie_takes_an_exact_zero_before_a_brent_root(monkeypatch):
     assert mirror - 1.0 == 1.0 - x0 and mirror not in GRID
 
     def exact_brent_many(f, a, b, **kwargs):
-        return np.full(a.size, mirror), np.ones(a.size, dtype=int)
+        roots = np.full(a.size, mirror)
+        return roots, np.ones(a.size, dtype=int), f(np.arange(a.size), roots)
 
     def exact_brentq(f, a, b, **kwargs):
         return mirror, SimpleNamespace(iterations=1)
@@ -567,16 +569,21 @@ def test_block_solve_is_each_windows_estimate():
     alphas = (0.0, 0.1, 0.5, 1.0)
     tops = np.stack([s.z_sorted for s in samples])
     deltas = np.stack([s.delta_concomitant for s in samples])
-    for k in (1, 2, 60, 150, 299):
-        block = estimators._solve_windows(tops, deltas, k, alphas)
+    k_grid = (1, 2, 60, 150, 299)
+    # every k in one solve, and each k alone
+    block = estimators._solve_windows(tops, deltas, k_grid, alphas)
+    assert block.shape == (len(samples), len(k_grid), len(alphas))
+    for ki, k in enumerate(k_grid):
+        alone = estimators._solve_windows(tops, deltas, (k,), alphas)
+        assert alone.tobytes() == block[:, ki:ki + 1].tobytes(), k
         for r, sample in enumerate(samples):
             for a, alpha in enumerate(alphas):
                 try:
                     want = MdpdWindow(sample, k).estimate(alpha).gamma1_hat
                 except EstimationError:
                     want = np.nan
-                assert np.array(want).tobytes() == block[r, a].tobytes(), (k, r, alpha)
-    assert np.isnan(estimators._solve_windows(tops[-1:], deltas[-1:], 60, alphas)).all()
+                assert np.array(want).tobytes() == block[r, ki, a].tobytes(), (k, r, alpha)
+    assert np.isnan(estimators._solve_windows(tops[-1:], deltas[-1:], (60,), alphas)).all()
 
 
 # estimators.brentq against scipy.optimize.brentq, which it ports
@@ -756,10 +763,34 @@ def test_brent_many_batch_is_each_bracket_alone_on_random_polynomials():
         solved = [b for b in brackets if isinstance(b[3], tuple)]
         assert len(solved) > 30
         coefs, a, b, outcomes = zip(*solved)
-        roots, iterations = estimators._brent_many(polynomials(coefs), np.array(a), np.array(b),
-                                                   xtol, rtol, maxiter)
+        roots, iterations, _ = estimators._brent_many(polynomials(coefs), np.array(a),
+                                                      np.array(b), xtol, rtol, maxiter)
         assert [r.hex() for r in roots] == [root.hex() for root, _ in outcomes]
         assert iterations.tolist() == [its for _, its in outcomes]
+
+
+def test_brent_many_from_known_end_values_is_the_same_and_returns_f_at_each_root():
+    # given f at both bracket ends, the kernel does not evaluate them again
+    # and finds the same roots after the same iterations; the values it
+    # returns are f at each root, bit for bit
+    for (xtol, rtol, maxiter), brackets in zip(TOLERANCES, polynomial_brackets()):
+        coefs, a, b, _ = zip(*(b for b in brackets if isinstance(b[3], tuple)))
+        a, b, f = np.array(a), np.array(b), polynomials(coefs)
+        called = []
+
+        def recorded(idx, x):
+            called.append(x.copy())
+            return f(idx, x)
+
+        every = np.arange(a.size)
+        want = estimators._brent_many(f, a, b, xtol, rtol, maxiter)
+        got = estimators._brent_many(recorded, a, b, xtol, rtol, maxiter,
+                                     fa=f(every, a), fb=f(every, b))
+        assert [r.hex() for r in got[0]] == [r.hex() for r in want[0]]
+        assert got[1].tolist() == want[1].tolist()
+        assert got[2].tobytes() == want[2].tobytes() == f(every, got[0]).tobytes()
+        # one call per iteration after the first, none at the ends
+        assert len(called) == max(want[1]) - 1 and called[0].size == np.sum(want[1] > 1)
 
 
 def test_brent_many_raises_where_brentq_runs_out_of_iterations():
@@ -778,12 +809,17 @@ def test_brent_many_returns_a_zero_at_a_bracket_end_after_no_iteration():
     # the brackets of the brentq test above, and one that iterates, in one call
     functions = [lambda x: x - 0.5, lambda x: x - 0.5, lambda x: 0.0, lambda x: x ** 3 - 2.0]
     a, b = np.array([0.5, 0.0, 0.0, 0.0]), np.array([1.0, 0.5, 0.5, 5.0])
-    roots, iterations = estimators._brent_many(
-        lambda idx, x: np.array([functions[j](xj) for j, xj in zip(idx, x)]), a, b,
-        2e-12, 4 * np.finfo(float).eps, 100)
+    def f(idx, x):
+        return np.array([functions[j](xj) for j, xj in zip(idx, x)])
+
     root, info = estimators.brentq(functions[3], 0.0, 5.0, (), 2e-12, 4 * np.finfo(float).eps, 100)
-    assert roots.tolist() == [0.5, 0.5, 0.0, root]
-    assert iterations.tolist() == [0, 0, 0, info.iterations] and info.iterations > 0
+    every = np.arange(a.size)
+    for ends in ({}, {"fa": f(every, a), "fb": f(every, b)}):
+        roots, iterations, values = estimators._brent_many(
+            f, a, b, 2e-12, 4 * np.finfo(float).eps, 100, **ends)
+        assert roots.tolist() == [0.5, 0.5, 0.0, root]
+        assert iterations.tolist() == [0, 0, 0, info.iterations] and info.iterations > 0
+        assert values[:3].tolist() == [0.0, 0.0, 0.0] and values[3] == functions[3](root)
 
 
 def test_brent_many_rejects_a_bracket_without_sign_change():

@@ -1,7 +1,10 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.stats import kstest
 from tailcens import (
     ContaminationSpec,
     EstimationError,
+    InvalidSampleError,
     MdpdWindow,
     ModelParams,
     SweepSpec,
@@ -37,6 +41,11 @@ def burr_cdf(x, gamma1, eta):
 
 def frechet_cdf(x, gamma2):
     return np.exp(-x ** (-1.0 / gamma2))
+
+
+def draw_one(n, model, contamination, rng):
+    """_draw_arrays of a block of one stream, as 1-d arrays."""
+    return [a[0] for a in _draw_arrays(n, model, contamination, [rng])]
 
 
 def test_burr_quantile_hand_values():
@@ -109,7 +118,7 @@ def test_sampler_deterministic():
 def test_censoring_identity_latent():
     model = ModelParams(gamma1=0.3, gamma2=0.7)
     cont = ContaminationSpec(epsilon=0.15, theta1=0.6)
-    x, c, z, d = _draw_arrays(500, model, cont, _replicate_rng(2, 0))
+    x, c, z, d = draw_one(500, model, cont, _replicate_rng(2, 0))
     public_z, public_d = sample_contaminated_censored(500, model, cont, seed=2)
     assert z.tobytes() == public_z.tobytes() and d.tobytes() == public_d.tobytes()
     np.testing.assert_allclose(z, np.minimum(x, c))
@@ -125,16 +134,19 @@ def test_draw_arrays_is_byte_equal_to_the_where_formulation(seed, n, epsilon, th
     # contaminant quantile takes its overflow branch at the larger n
     model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7), eta=eta)
     cont = ContaminationSpec(epsilon=epsilon, theta1=theta1)
-    got = _draw_arrays(n, model, cont, _replicate_rng(seed, 0))
-    want = draw_arrays_where(n, model, cont, _replicate_rng(seed, 0))
-    for name, a, b in zip(("x", "c", "z", "delta"), got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # a block of three streams: each row is that stream's draw alone
+    got = _draw_arrays(n, model, cont, [_replicate_rng(seed, r) for r in range(3)])
+    for r in range(3):
+        want = draw_arrays_where(n, model, cont, _replicate_rng(seed, r))
+        for name, a, b in zip(("x", "c", "z", "delta"), got, want):
+            assert a.shape == (3, n) and a.dtype == b.dtype, name
+            assert a[r].tobytes() == b.tobytes(), (name, r)
 
 
 def test_uncontaminated_ks():
     model = ModelParams(gamma1=0.3, gamma2=100.0)  # effectively no censoring
     cont = ContaminationSpec(epsilon=0.0, theta1=0.6)
-    x, _, _, _ = _draw_arrays(10_000, model, cont, _replicate_rng(9, 0))
+    x, _, _, _ = draw_one(10_000, model, cont, _replicate_rng(9, 0))
     stat = kstest(x, lambda t: burr_cdf(t, 0.3, 0.25)).statistic
     assert stat < 0.05
 
@@ -142,7 +154,7 @@ def test_uncontaminated_ks():
 def test_fully_contaminated_ks():
     model = ModelParams(gamma1=0.3, gamma2=100.0)
     cont = ContaminationSpec(epsilon=0.999999, theta1=0.6)
-    x, _, _, _ = _draw_arrays(10_000, model, cont, _replicate_rng(9, 0))
+    x, _, _, _ = draw_one(10_000, model, cont, _replicate_rng(9, 0))
     stat = kstest(x, lambda t: burr_cdf(t, 0.6, 0.25)).statistic
     assert stat < 0.05
 
@@ -187,8 +199,8 @@ def test_sweep_single_replicate_identity():
 
 def full_scan_estimates(spec, replicate):
     """Reference oracle: every (k, alpha) cell solved by the full grid scan."""
-    _, _, z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
-                                  _replicate_rng(spec.seed, replicate))
+    _, _, z, delta = draw_one(spec.n, spec.model, spec.contamination,
+                              _replicate_rng(spec.seed, replicate))
     sample = ordered_from_arrays(z, delta)
     out = np.full((len(spec.k_grid), len(spec.alphas)), np.nan)
     for ki, k in enumerate(spec.k_grid):
@@ -215,24 +227,71 @@ def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     # full scan give the same bytes
     spec = make_spec(**{**SWEEP_EPS40, "seed": seed,
                         "contamination": ContaminationSpec(epsilon=epsilon, theta1=0.6)})
-    outcomes = []
+    outcomes, calls = [], []
     local_roots = estimators._local_roots
 
     def counted(residual, reference):
         found = local_roots(residual, reference)
         outcomes.extend(np.isnan(found).tolist())
+        calls.append(reference.size)
         return found
 
     monkeypatch.setattr(estimators, "_local_roots", counted)
     replicates = [*range(40), 100, 162]
     block = _block_estimates(spec, replicates)
+    # one local solve for every cell at alpha > 0 of the block, all k together
+    assert calls == [len(replicates) * 6 * 3]
     assert block.tobytes() == np.concatenate([_block_estimates(spec, [r])
                                               for r in replicates]).tobytes()
+    assert calls[1:] == [6 * 3] * len(replicates)
     assert block.tobytes() == np.stack([full_scan_estimates(spec, r)
                                         for r in replicates]).tobytes()
     # both paths ran; no cell of seed 0 at eps = 0.4 falls back
     assert not all(outcomes)
     assert any(outcomes) == ((seed, epsilon) != (0, 0.4))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_block_rejects_a_time_that_is_not_positive_and_finite(monkeypatch, bad):
+    # the block is checked once, with the message of OrderedSample's check
+    draw = simulation._draw_arrays
+
+    def with_bad_time(*args):
+        x, c, z, delta = draw(*args)
+        z[1, 7] = bad
+        return x, c, z, delta
+
+    monkeypatch.setattr(simulation, "_draw_arrays", with_bad_time)
+    with pytest.raises(InvalidSampleError, match="all z must be positive and finite"):
+        _block_estimates(make_spec(), range(3))
+
+
+def test_block_orders_tied_times_as_ordered_from_arrays(monkeypatch):
+    # every time appears twice, once censored and once not, so the order of
+    # equal times decides each window's indicators
+    spec = make_spec(alphas=(0.0, 0.5), k_grid=(30, 60, 61))
+    draw = simulation._draw_arrays
+
+    def tied(*args):
+        x, c, z, delta = draw(*args)
+        z[:, 1::2] = z[:, ::2]
+        delta[:, 1::2] = 1 - delta[:, ::2]
+        return x, c, z, delta
+
+    monkeypatch.setattr(simulation, "_draw_arrays", tied)
+    block = _block_estimates(spec, range(4))
+    for r in range(4):
+        _, _, z, delta = draw_one(spec.n, spec.model, spec.contamination,
+                                  _replicate_rng(spec.seed, r))
+        z[1::2], delta[1::2] = z[::2], 1 - delta[::2]
+        sample = ordered_from_arrays(z, delta)
+        for ki, k in enumerate(spec.k_grid):
+            for ai, alpha in enumerate(spec.alphas):
+                try:
+                    want = MdpdWindow(sample, k).estimate(alpha).gamma1_hat
+                except EstimationError:
+                    want = np.nan
+                assert np.array(want).tobytes() == block[r, ki, ai].tobytes(), (r, k, alpha)
 
 
 def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
@@ -245,10 +304,12 @@ def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
 
     monkeypatch.setattr(simulation, "_block_estimates", recorded)
     whole = _replicate_range(spec, 3, 30)
-    # 3 cells at alpha > 0 with 16 scanned rows of k <= 300, and the 301
-    # largest observations: 8 * 300 * 49 = 117 600 bytes a replicate
-    assert sizes == [26, 1]
-    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 117_600 - 1)
+    # 3 cells at alpha > 0 with 16 scanned rows of k <= 300, the 301 largest
+    # observations, three draw arrays of n = 1000 and three window arrays of
+    # each k, whose sum is 1050: 8 * (300 * 49 + 3000 + 3150) = 166 800
+    # bytes a replicate
+    assert sizes == [18, 9]
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 166_800 - 1)
     sizes.clear()
     assert _replicate_range(spec, 3, 30).tobytes() == whole.tobytes()
     assert sizes == [3] * 9
@@ -271,10 +332,10 @@ def traced_peak_mib(spec):
 
 def test_replicate_range_memory_is_bounded():
     # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB; the
-    # sweep-eps40 spec peaked at 3.32 MiB, in blocks of 26 replicates
+    # sweep-eps40 spec peaked at 3.02 MiB, in blocks of 18 replicates
     assert traced_peak_mib(make_spec(**SWEEP_EPS40, replicates=200)) <= 4.0
     # at k = 5000 a block is one replicate, whose three scans take 1.83 MiB;
-    # it peaked at 2.49 MiB, against 1.42 MiB for the cell-by-cell solve
+    # it peaked at 2.42 MiB, against 1.42 MiB for the cell-by-cell solve
     # that the block solve replaced
     big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
                     replicates=4)
@@ -301,6 +362,29 @@ def test_sweep_pooled_uses_two_workers_and_matches_serial():
     pooled = run_sweep(spec, n_jobs=2)
     assert (serial.workers, pooled.workers) == (1, 2)
     assert pooled.rows == serial.rows
+
+
+WARM_WORKER = """
+import sys
+from tailcens.simulation import _process_pool
+
+def numpy_random_imported():
+    return "numpy.random" in sys.modules
+
+with _process_pool(2) as pool:
+    print(pool.submit(numpy_random_imported).result())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_pool_workers_start_with_numpy_random_imported():
+    # the parent imports it before the workers start, so a forked worker
+    # does not import it again on every sweep
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(simulation.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", WARM_WORKER], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout.strip()) == (0, "True"), done.stderr
 
 
 def test_sweep_pools_where_the_platform_cannot_fork(monkeypatch):
