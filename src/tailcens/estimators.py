@@ -23,7 +23,9 @@ import numpy as np
 from .empirical import _stacked_weights, kaplan_meier_survival, mdpd_weights
 from .sample_model import OrderedSample, TailConfig, top_log_excesses
 
-# grid rows that _local_roots scans around the MNS reference
+# grid rows that _local_roots scans around the MNS reference: first NARROW_ROWS,
+# then LOCAL_ROWS where the narrow rows hold no root they could prove nearest
+NARROW_ROWS = 6
 LOCAL_ROWS = 16
 # points of the scan grid over the search domain, and Brent iterations per bracket
 GRID_POINTS = 200
@@ -369,34 +371,60 @@ _SWEEP_OPTIONS = SolverOptions()
 
 def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  reference: np.ndarray) -> np.ndarray:
-    """Each cell's nearest full-scan root, from LOCAL_ROWS grid rows; NaN where unproven.
+    """Each cell's nearest full-scan root, from a few grid rows; NaN where unproven.
 
     Cell c is one window at one alpha > 0; residual(cells, g) returns, for
     each j, the residuals of cell cells[j] at the points g[j, :], with the
     bits of its full scan (see :func:`_stacked_residuals`); cells is an
     index array in nondecreasing order, or ``slice(None)`` for every cell
-    in order.  A cell scans the rows from ``clip(searchsorted(grid,
-    reference[c]) - LOCAL_ROWS // 2, 0, grid.size - LOCAL_ROWS)``.  Its
-    candidates are, as in :meth:`MdpdWindow.estimate`, first the rows where
-    the residual is exactly 0, then the Brent root of each sign change in
-    row order whose residual meets ``tol_abs``; the nearest to the
+    in order.  A window of w rows starts at row ``clip(searchsorted(grid,
+    reference[c]) - w // 2, 0, grid.size - w)``; its reach is the distance
+    from the reference to its nearer edge, an edge on a grid end counting as
+    infinitely far.  Every cell first scans its NARROW_ROWS window.  It
+    scans the rest of its LOCAL_ROWS window, which holds the narrow one,
+    only if no exact zero among those rows, and no sign change between two
+    of them, lies strictly within the narrow reach.  Each cell's candidates
+    on its own window are, as in :meth:`MdpdWindow.estimate`, first the rows
+    where the residual is exactly 0, then the Brent root of each sign change
+    in row order whose residual meets ``tol_abs``; the nearest to the
     reference wins, the first of equals on a tie.  Every bracket of every
     cell is refined in one :func:`_brent_many`, which starts from the
     scanned values at the bracket ends and returns the residual at each
     root, so no value is computed twice.  Since the scanned rows are the
     full scan's, their roots are the full scan's roots inside the window,
-    and the winner is returned only if it is strictly closer to the
-    reference than both window edges, an edge on a grid end counting as
-    infinitely far: any root outside the window lies beyond an edge, so it
-    cannot be nearer.  A cell without candidates, or whose winner fails
+    and the winner is returned only if it lies strictly within the reach of
+    the cell's window: any root outside the window lies beyond an edge, so
+    it cannot be nearer.  A cell without candidates, or whose winner fails
     that test, gets NaN.
     """
     grid = _SWEEP_OPTIONS.grid
-    found = np.full(reference.size, np.nan)
-    lo = np.clip(np.searchsorted(grid, reference) - LOCAL_ROWS // 2, 0,
-                 grid.size - LOCAL_ROWS)
+    nearest = np.searchsorted(grid, reference)
+
+    def window(rows):
+        lo = np.clip(nearest - rows // 2, 0, grid.size - rows)
+        lower = np.where(lo > 0, np.abs(reference - grid[lo]), np.inf)
+        upper = np.where(lo + rows < grid.size, np.abs(grid[lo + rows - 1] - reference), np.inf)
+        return lo, np.where(upper < lower, upper, lower)
+
+    lo, reach = window(LOCAL_ROWS)
+    narrow_lo, narrow_reach = window(NARROW_ROWS)
     points = grid[lo[:, None] + np.arange(LOCAL_ROWS)]
-    values = residual(slice(None), points)
+    # values[c] holds the residuals at the rows of cell c's LOCAL_ROWS window that
+    # it scanned, and NaN, which gives no zero or sign change, at the others
+    values = np.full(points.shape, np.nan)
+    narrow = (narrow_lo - lo)[:, None] + np.arange(NARROW_ROWS)
+    every = np.arange(reference.size)[:, None]
+    values[every, narrow] = residual(slice(None), points[every, narrow])
+    within = np.abs(points - reference[:, None]) < narrow_reach[:, None]
+    settled = np.any((values == 0.0) & within, axis=1) | np.any(
+        (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & within[:, :-1] & within[:, 1:],
+        axis=1)
+    wide = np.flatnonzero(~settled)
+    rest = np.ones((wide.size, LOCAL_ROWS), dtype=bool)
+    rest[np.arange(wide.size)[:, None], narrow[wide]] = False
+    rest = np.nonzero(rest)[1].reshape(wide.size, LOCAL_ROWS - NARROW_ROWS)
+    values[wide[:, None], rest] = residual(wide, points[wide[:, None], rest])
+    reach[settled] = narrow_reach[settled]
 
     zero_cell, zero_row = np.nonzero(values == 0.0)
     cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
@@ -408,17 +436,15 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cell, row, roots = cell[met], row[met], roots[met]
     # candidates in the full scan's order: exact zeros, then Brent roots;
     # per cell, the nearest and then the first of equals wins
+    found = np.full(reference.size, np.nan)
     cells = np.concatenate([zero_cell, cell])
     candidates = np.concatenate([points[zero_cell, zero_row], roots])
     order = np.concatenate([zero_row, LOCAL_ROWS + row])
     distance = np.abs(candidates - reference[cells])
     ranked = np.lexsort((order, distance, cells))
     first = ranked[np.unique(cells[ranked], return_index=True)[1]]
-    best, lo = cells[first], lo[cells[first]]
-    lower = np.where(lo > 0, np.abs(reference[best] - grid[lo]), np.inf)
-    upper = np.where(lo + LOCAL_ROWS < grid.size,
-                     np.abs(grid[lo + LOCAL_ROWS - 1] - reference[best]), np.inf)
-    proven = distance[first] < np.where(upper < lower, upper, lower)
+    best = cells[first]
+    proven = distance[first] < reach[best]
     found[best[proven]] = candidates[first[proven]]
     return found
 

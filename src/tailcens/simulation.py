@@ -26,14 +26,12 @@ import numpy as np
 from .estimators import LOCAL_ROWS, _solve_windows
 from .sample_model import InvalidSampleError, ModelParams, _check_times
 
-# Contiguous replicate ranges handed to each worker process: more than one
-# per worker, so a worker that finishes early picks up another range.
-CHUNKS_PER_WORKER = 4
 # Bytes that the float64 arrays of one block of replicates, which are
 # drawn and solved together, may take: per replicate, the local scans of
-# its cells at alpha > 0 (LOCAL_ROWS x largest k each), its largest
-# observations, three n-long draw arrays and the three arrays of each
-# k's window.
+# its cells at alpha > 0 (LOCAL_ROWS x largest k each, which bounds the
+# narrow scan of every cell and the wider scan of the cells that need it),
+# its largest observations, three n-long draw arrays and the three arrays
+# of each k's window.
 BLOCK_BYTES = 3 << 20
 
 
@@ -186,22 +184,41 @@ class SweepResult:
     workers: int = 1  # worker processes actually used
 
 
+def _top_slice(z: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m largest times of each row of z in increasing order, shape (R, m).
+
+    Equal to ``np.argsort(z, axis=1, kind="stable")[:, -m:]`` for rows
+    without NaN: a partition finds each row's cut, the times above it are
+    kept, and of the times tied at the cut the highest indices, as the
+    stable order ranks them last; only that slice is sorted, stably.
+    """
+    cut = np.partition(z, z.shape[1] - m, axis=1)[:, -m, None]
+    keep = z > cut
+    row, col = np.nonzero(z == cut)
+    # rank of each tied time from its row's last one: 1 for the highest index
+    from_last = np.cumsum(np.bincount(row, minlength=z.shape[0]))[row] - np.arange(row.size)
+    take = from_last <= m - np.count_nonzero(keep, axis=1)[row]
+    keep[row[take], col[take]] = True
+    top = np.nonzero(keep)[1].reshape(-1, m)
+    return np.take_along_axis(
+        top, np.argsort(np.take_along_axis(z, top, axis=1), axis=1, kind="stable"), axis=1)
+
+
 def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
     """gamma1_hat of every (replicate, k, alpha) cell of a block of replicates; NaN on failure.
 
     The block is drawn as one array, each replicate on its own stream
-    (:func:`_draw_arrays`), and ordered as one: each row's max(k_grid) + 1
-    largest observations are taken in the order of ``np.argsort(z,
-    kind="stable")``, the permutation of ``ordered_from_arrays``, after one
-    check that every time is positive and finite.  Every cell is then
+    (:func:`_draw_arrays`), and checked once: every time must be positive
+    and finite.  Each row's max(k_grid) + 1 largest observations are then
+    taken in the order of ``np.argsort(z, kind="stable")``, the permutation
+    of ``ordered_from_arrays`` (:func:`_top_slice`), and every cell is
     solved in one ``estimators._solve_windows``, so every value is
     bit-identical to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
     """
-    m = max(spec.k_grid) + 1
     z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
                             [_replicate_rng(spec.seed, r) for r in replicates])[2:]
     _check_times(z)
-    top = np.argsort(z, axis=1, kind="stable")[:, -m:]
+    top = _top_slice(z, max(spec.k_grid) + 1)
     return _solve_windows(np.take_along_axis(z, top, axis=1),
                           np.take_along_axis(delta, top, axis=1), spec.k_grid, spec.alphas)
 
@@ -211,8 +228,9 @@ def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
 
     The replicates are drawn and solved in consecutive blocks, each as
     many replicates as BLOCK_BYTES holds (one at least), so the memory of a
-    range does not grow with its length.  A block's values do not depend
-    on the replicates solved with it (see :func:`_block_estimates`).
+    range does not grow with its length; a pooled sweep hands each worker
+    one such range.  A block's values do not depend on the replicates
+    solved with it (see :func:`_block_estimates`).
     """
     cells = sum(a > 0 for a in spec.alphas)
     per_replicate = 8 * (max(spec.k_grid) * (LOCAL_ROWS * cells + 1) + 3 * spec.n
@@ -264,14 +282,16 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     Failures (no root) are excluded from the moments and counted; a cell
     where every replicate failed is reported with NaN metrics.  Replicates
     run in min(n_jobs, usable CPUs, replicates) worker processes, or in
-    this process where it is a daemon, each on contiguous replicate
-    ranges; the ranges are concatenated in replicate order, so the result
-    does not depend on n_jobs or scheduling.  A range is solved in blocks
-    of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A block is
-    drawn and ordered as one array, and every (k, alpha) cell of it is
-    solved together: a local root scan and one lockstep Brent pass over
-    every k, falling back to the full scan, which gives every cell the full
-    scan's root bit for bit and does not depend on the block.
+    this process where it is a daemon, each worker on one contiguous range
+    of replicates; the ranges are concatenated in replicate order, so the
+    result does not depend on n_jobs or scheduling.  A range is solved in
+    blocks of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A
+    block is drawn as one array, and only each row's max(k) + 1 largest
+    times are ordered (:func:`_top_slice`).  Every (k, alpha) cell of it is
+    solved together: a local root scan of 6, then where needed 16, grid
+    rows and one lockstep Brent pass over every k, falling back to the full
+    scan, which gives every cell the full scan's root bit for bit and does
+    not depend on the block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")
@@ -281,10 +301,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
             workers = 1
             stacked = _replicate_range(spec, 0, spec.replicates)
         else:
-            chunks = min(workers * CHUNKS_PER_WORKER, spec.replicates)
-            bounds = [spec.replicates * i // chunks for i in range(chunks + 1)]
+            bounds = [spec.replicates * i // workers for i in range(workers + 1)]
             stacked = np.concatenate(list(pool.map(
-                _replicate_range, [spec] * chunks, bounds[:-1], bounds[1:])))
+                _replicate_range, [spec] * workers, bounds[:-1], bounds[1:])))
 
     rows = []
     with np.errstate(invalid="ignore"):

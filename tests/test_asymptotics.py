@@ -14,11 +14,16 @@ from scipy import stats
 from scipy.integrate import quad
 
 from tailcens import (
+    ContaminationSpec,
     GaussianOracleConfig,
+    MdpdWindow,
     ModelParams,
     asymptotic_ci,
     eta_star,
+    gamma2_from_p,
     mu,
+    ordered_from_arrays,
+    sample_contaminated_censored,
     sigma_squared,
     sigma_squared_mc,
 )
@@ -284,6 +289,43 @@ def test_mu_is_the_limit_of_the_exact_burr_bias(gamma1, alpha, eta):
             for t in (1e2, 1e4, 1e6)]
     assert gaps[0] > 5 * gaps[1] > 25 * gaps[2]
     assert gaps[2] < 1e-3
+
+
+def burr_mean_residual(gamma1, alpha, eta, t):
+    """I(t) of :func:`burr_mean_residual_over_a0` in double precision, by scipy's quad.
+
+    psi'(x) x decays like x^(-beta), so the integral in v = log x is cut at
+    v = 40, where the rest is below 1e-30 for beta >= 2.
+    """
+    beta = alpha * (1 + 1 / gamma1)
+
+    def integrand(v):
+        x = np.exp(v)
+        dpsi = -x ** (-beta - 1) * (1 + beta * (gamma1 - v))
+        excess = (((1 + (t * x) ** (1 / eta)) / (1 + t ** (1 / eta))) ** (-eta / gamma1)
+                  - x ** (-1 / gamma1))
+        return dpsi * excess * x
+
+    return sum(quad(integrand, lo, hi)[0] for lo, hi in ((0, 1), (1, 5), (5, 20), (20, 40)))
+
+
+@pytest.mark.parametrize("gamma1,p,alpha,eta,k", [
+    (0.3, 0.95, 0.5, 1.0, 2000), (0.3, 0.7, 0.5, 1.0, 2000),
+    (0.3, 0.7, 1.0, 1.0, 200), (0.3, 0.7, 0.5, 2.0, 2000)])
+def test_mean_residual_at_the_true_gamma1_is_the_exact_burr_bias(gamma1, p, alpha, eta, k):
+    # over 300 uncontaminated samples of n = 20000, the shipped residual at the
+    # true gamma1 has the mean of I(Z_{n-k:n}), the exact bias at the sample's
+    # own threshold, so the Nelson-Aalen weights' mean is right under
+    # censoring.  The z-scores are 0.3, -1.1, -0.5 and 0.6; I scaled by 1.01
+    # gives 4.7, 3.1, 0.2 and 7.3
+    model = ModelParams(gamma1=gamma1, gamma2=gamma2_from_p(gamma1, p), eta=eta)
+    gaps = []
+    for seed in range(5000, 5300):
+        sample = ordered_from_arrays(*sample_contaminated_censored(
+            20_000, model, ContaminationSpec(), seed=seed))
+        gaps.append(MdpdWindow(sample, k).residual(gamma1, alpha)
+                    - burr_mean_residual(gamma1, alpha, eta, sample.z_sorted[-k - 1]))
+    assert abs(np.mean(gaps)) < 3 * np.std(gaps, ddof=1) / np.sqrt(len(gaps))
 
 
 @pytest.mark.parametrize("alpha,gamma1,p", SIGMA_GRID + CONSTANTS_GRID)

@@ -398,7 +398,8 @@ def test_solver_options_validation():
 # estimate, on residual functions whose roots are placed around the
 # reference by hand.
 GRID = SolverOptions().grid
-MID = int(np.searchsorted(GRID, 1.0))  # the local window is GRID[MID - 8:MID + 8]
+# the narrow window is GRID[MID - 3:MID + 3], the wide one GRID[MID - 8:MID + 8]
+MID = int(np.searchsorted(GRID, 1.0))
 
 
 class ScriptedWindow(MdpdWindow):
@@ -434,6 +435,25 @@ def local_and_full(window, alpha=0.5):
     return local_roots(window)[0], window.estimate(alpha).gamma1_hat
 
 
+def scanned_rows(window):
+    """The rows of each grid scan that _local_roots asks of one window's residual."""
+    rows, residual = [], scripted(window)
+
+    def recorded(cells, g):
+        if g.size > g.shape[0]:  # a Brent step asks one point a bracket
+            rows.append(g.shape[1])
+        return residual(cells, g)
+
+    estimators._local_roots(recorded, np.array([window.reference]))
+    return rows
+
+
+# a root in the grid step that holds the reference 1.0, nearer than both narrow edges
+NEAR = np.sqrt(GRID[MID - 1] * GRID[MID])
+# a root below the narrow window and within the wide one, nearer than both of its edges
+BELOW_NARROW = np.sqrt(GRID[MID - 5] * GRID[MID - 4])
+
+
 def test_local_scan_accepts_a_root_inside_the_window():
     window = ScriptedWindow(lambda g: g - 1.1)
     local, full = local_and_full(window)
@@ -448,6 +468,46 @@ def test_local_scan_root_on_a_grid_row(offset):
     window = ScriptedWindow(lambda g: g - GRID[MID + 2] + offset)
     local, full = local_and_full(window)
     assert local == full == pytest.approx(GRID[MID + 2], rel=1e-12)
+
+
+def test_narrow_scan_root_is_the_full_scans_root():
+    window = ScriptedWindow(lambda g: g - NEAR)
+    assert scanned_rows(window) == [6]
+    local, full = local_and_full(window)
+    assert local == full == pytest.approx(NEAR)
+
+
+def test_root_beyond_the_narrow_rows_is_found_by_the_wide_scan():
+    # the narrow rows hold no sign change, so the other ten rows are scanned
+    window = ScriptedWindow(lambda g: g - BELOW_NARROW)
+    assert scanned_rows(window) == [6, 10]
+    local, full = local_and_full(window)
+    assert local == full == pytest.approx(BELOW_NARROW)
+
+
+def test_narrow_bracket_failing_the_tolerance_falls_back():
+    # the jump at NEAR is a sign change that the narrow rows could prove
+    # nearest, so the wide rows are not scanned; its Brent root fails
+    # tol_abs, which leaves the root below the narrow window to the full scan
+    window = ScriptedWindow(lambda g: g - BELOW_NARROW if g < NEAR else -1.0)
+    assert scanned_rows(window) == [6]
+    local, full = local_and_full(window)
+    assert np.isnan(local)
+    assert full == pytest.approx(BELOW_NARROW)
+
+
+def test_narrow_cell_proves_its_winner_on_the_narrow_window():
+    # the jump at NEAR settles the cell on its narrow rows and fails tol_abs;
+    # the one narrow root left lies beyond the narrow reach, and a nearer
+    # root lies just below the narrow rows, which the wide reach would miss
+    above = np.sqrt(GRID[MID + 1] * GRID[MID + 2])
+    below = np.sqrt(GRID[MID - 4] * GRID[MID - 3])
+    assert abs(below - 1.0) < abs(above - 1.0) < 1.0 - GRID[MID - 8]
+    window = ScriptedWindow(lambda g: g - below if g < NEAR else g - above)
+    assert scanned_rows(window) == [6]
+    local, full = local_and_full(window)
+    assert np.isnan(local)
+    assert full == pytest.approx(below)
 
 
 def test_local_scan_without_sign_change_falls_back():
@@ -551,11 +611,14 @@ def test_local_scan_of_many_cells_is_each_cells_own():
                ScriptedWindow(lambda g: (g - outside) * (g - inside)),
                ScriptedWindow(lambda g: 1.0), ScriptedWindow(lambda g: (g - 0.9) * (g - 1.05)),
                *(ScriptedWindow(lambda g, root=root: g - root, reference)
-                 for reference, root in CLIPPED)]
+                 for reference, root in CLIPPED),
+               ScriptedWindow(lambda g: g - NEAR), ScriptedWindow(lambda g: g - BELOW_NARROW),
+               ScriptedWindow(lambda g: g - BELOW_NARROW if g < NEAR else -1.0)]
     together = local_roots(*windows)
     alone = np.array([local_roots(window)[0] for window in windows])
     assert together.tobytes() == alone.tobytes()
-    assert np.isnan(together).tolist() == [False, True, False, True, True, False] + [False] * 4
+    assert np.isnan(together).tolist() == ([False, True, False, True, True, False]
+                                           + [False] * 4 + [False, False, True])
     assert together[5] == pytest.approx(1.05)
 
 

@@ -28,7 +28,8 @@ from tailcens import (
 )
 from tailcens import estimators, simulation
 from tailcens.estimators import _uncensored_fraction
-from tailcens.simulation import _block_estimates, _draw_arrays, _replicate_range, _replicate_rng
+from tailcens.simulation import (_block_estimates, _draw_arrays, _replicate_range,
+                                 _replicate_rng, _top_slice)
 
 from oracles import draw_arrays_where
 
@@ -251,6 +252,38 @@ def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     assert any(outcomes) == ((seed, epsilon) != (0, 0.4))
 
 
+def test_local_scans_ask_for_at_most_two_thirds_of_the_wide_scans_points(monkeypatch):
+    # scanning all 16 rows of every cell asked the residual at 75 259 points
+    # for this spec (57 600 of them in the scans); narrow rows first ask 44 499.
+    # The count depends only on the data, so it guards the saving
+    spec = make_spec(**SWEEP_EPS40, seed=0, replicates=200)
+    points = []
+    local_roots = estimators._local_roots
+
+    def counted(residual, reference):
+        def recorded(cells, g):
+            points.append(g.size)
+            return residual(cells, g)
+        return local_roots(recorded, reference)
+
+    monkeypatch.setattr(estimators, "_local_roots", counted)
+    _replicate_range(spec, 0, spec.replicates)
+    assert sum(points) <= 75_259 * 2 // 3
+
+
+@pytest.mark.parametrize("draw", ["uniform", "tied"])
+def test_top_slice_is_the_tail_of_the_stable_argsort(draw):
+    # integer times from a few values put ties across the cut, where the
+    # stable order keeps the highest indices of the tied times
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 60):
+        z = rng.random((5, n)) if draw == "uniform" else rng.integers(1, 4, (5, n)).astype(float)
+        for m in range(1, n + 1):
+            want = np.argsort(z, axis=1, kind="stable")[:, -m:]
+            got = _top_slice(z, m)
+            assert got.shape == want.shape and (got == want).all(), (n, m)
+
+
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_block_rejects_a_time_that_is_not_positive_and_finite(monkeypatch, bad):
     # the block is checked once, with the message of OrderedSample's check
@@ -331,12 +364,13 @@ def traced_peak_mib(spec):
 
 
 def test_replicate_range_memory_is_bounded():
-    # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB; the
-    # sweep-eps40 spec peaked at 3.02 MiB, in blocks of 18 replicates
+    # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB, which
+    # counts 16 scanned rows a cell; the sweep-eps40 spec peaked at 1.69 MiB
+    # (3.02 MiB when every cell scanned 16 rows), in blocks of 18 replicates
     assert traced_peak_mib(make_spec(**SWEEP_EPS40, replicates=200)) <= 4.0
-    # at k = 5000 a block is one replicate, whose three scans take 1.83 MiB;
-    # it peaked at 2.42 MiB, against 1.42 MiB for the cell-by-cell solve
-    # that the block solve replaced
+    # at k = 5000 a block is one replicate, whose three 16-row scans would
+    # take 1.83 MiB; it peaked at 1.16 MiB (2.42 MiB with 16-row scans),
+    # against 1.42 MiB for the cell-by-cell solve that the block solve replaced
     big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
                     replicates=4)
     assert traced_peak_mib(big) <= 2 * 1.42
