@@ -356,15 +356,19 @@ def _k_range(args, n: int) -> list[int]:
 
 
 def cmd_estimate(args) -> int:
-    # the unordered arrays are not kept beside the sample
-    sample = ordered_from_arrays(*read_dataset(args.file))
-    ks = _k_range(args, sample.n)
+    times, statuses = read_dataset(args.file)
+    ks = _k_range(args, times.size)
     alphas = args.alpha if args.alpha else [0.0]
     # every cell and the solver options are validated before the header, so
-    # a bad argument writes nothing
+    # a bad argument writes nothing, and before the ordering, which a k
+    # below 1 must not reach
     with _argument_errors():
         cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
         options = SolverOptions(*args.domain, tol_abs=args.tol)
+    # every estimator reads only the top k + 1 order statistics, so only the
+    # top max(k) + 1 are ordered; the full arrays are not kept beside them
+    sample = ordered_from_arrays(times, statuses, top=max(ks) + 1)
+    del times, statuses
     out = sys.stdout
     out.write("k,alpha,method,gamma1_hat,residual\n")
     for k, configs in zip(ks, cells):

@@ -42,9 +42,7 @@ class OrderedSample:
         # z is finite here, so this is the sign test of np.diff without its array
         if np.any(z[1:] < z[:-1]):
             raise InvalidSampleError("z_sorted must be nondecreasing")
-        # checked before the int8 cast, which would turn 1.5 into 1
-        if not np.all((d == 0) | (d == 1)):
-            raise InvalidSampleError("delta values must be 0 or 1")
+        _check_deltas(d)
         d = d.astype(np.int8, copy=False)
         z.flags.writeable = False
         d.flags.writeable = False
@@ -113,13 +111,41 @@ def _check_times(z: np.ndarray) -> None:
         raise InvalidSampleError("invalid observation: all z must be positive and finite")
 
 
+def _check_deltas(d: np.ndarray) -> None:
+    # checked before any int8 cast, which would turn 1.5 into 1
+    if not np.all((d == 0) | (d == 1)):
+        raise InvalidSampleError("delta values must be 0 or 1")
+
+
+def _top_slice(z: np.ndarray, m: int) -> np.ndarray:
+    """Indices of the m largest times of each row of z in increasing order, shape (R, m).
+
+    Equal to ``np.argsort(z, axis=1, kind="stable")[:, -m:]`` for rows
+    without NaN: a partition finds each row's cut, the times above it are
+    kept, and of the times tied at the cut the highest indices, as the
+    stable order ranks them last; only that slice is sorted, stably.
+    """
+    # an index list copies the cut out, so the partitioned copy of z is freed at once
+    cut = np.partition(z, z.shape[1] - m, axis=1)[:, [-m]]
+    keep = z > cut
+    row, col = np.nonzero(z == cut)
+    # rank of each tied time from its row's last one: 1 for the highest index
+    from_last = np.cumsum(np.bincount(row, minlength=z.shape[0]))[row] - np.arange(row.size)
+    take = from_last <= m - np.count_nonzero(keep, axis=1)[row]
+    keep[row[take], col[take]] = True
+    top = np.nonzero(keep)[1].reshape(-1, m)
+    return np.take_along_axis(
+        top, np.argsort(np.take_along_axis(z, top, axis=1), axis=1, kind="stable"), axis=1)
+
+
 def order_sample(observed: tuple[Sequence[float], Sequence[int]]) -> OrderedSample:
     """Sort a (z, delta) pair of parallel arrays by z, as ordered_from_arrays does."""
     z, delta = observed
     return ordered_from_arrays(z, delta)
 
 
-def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSample:
+def ordered_from_arrays(z: Sequence[float], delta: Sequence[int],
+                        top: int | None = None) -> OrderedSample:
     """Build an OrderedSample from parallel arrays of times and indicators.
 
     The order is stable: tied times keep their input order, and the
@@ -132,10 +158,28 @@ def ordered_from_arrays(z: Sequence[float], delta: Sequence[int]) -> OrderedSamp
     :class:`OrderedSample`; only the shapes are checked here, because
     indexing a longer delta with the sort order would silently drop its
     extra entries.
+
+    With ``1 <= top < n`` the sample holds only the ``top`` largest
+    observations, the last ``top`` entries of the full sample, and only
+    they are sorted (:func:`_top_slice`); every time and indicator of the
+    input is still checked first, with the messages of the full path.  An
+    estimator that reads the top k + 1 order statistics, k < top, gives
+    the bits it gives on the full sample: the Kaplan-Meier factors
+    (n-i)/(n-i+1) count the observations above each one, which the slice
+    keeps.  But ``kaplan_meier_survival`` of a sliced sample is the
+    survival conditional on exceeding the n - top observations left out,
+    not the survival itself.  A ``top`` of n or more gives the full sample.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(delta)
     _check_shapes(z, d)
+    if top is not None and top < 1:
+        raise ValueError(f"top={top} must be >= 1")
+    if top is not None and top < z.size:
+        _check_times(z)
+        _check_deltas(d)
+        idx = _top_slice(z[None], top)[0]
+        return OrderedSample(z[idx], d[idx])
     n = z.size
     idx = np.argsort(z)
     zs = z[idx]

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import LOCAL_ROWS, _solve_windows
-from .sample_model import InvalidSampleError, ModelParams, _check_times
+from .sample_model import InvalidSampleError, ModelParams, _check_times, _top_slice
 
 # Bytes that the float64 arrays of one block of replicates, which are
 # drawn and solved together, may take: per replicate, the local scans of
@@ -182,26 +182,6 @@ class SweepResult:
 
     rows: tuple[tuple, ...]  # (k, alpha, abs_bias, mse, n_failures)
     workers: int = 1  # worker processes actually used
-
-
-def _top_slice(z: np.ndarray, m: int) -> np.ndarray:
-    """Indices of the m largest times of each row of z in increasing order, shape (R, m).
-
-    Equal to ``np.argsort(z, axis=1, kind="stable")[:, -m:]`` for rows
-    without NaN: a partition finds each row's cut, the times above it are
-    kept, and of the times tied at the cut the highest indices, as the
-    stable order ranks them last; only that slice is sorted, stably.
-    """
-    cut = np.partition(z, z.shape[1] - m, axis=1)[:, -m, None]
-    keep = z > cut
-    row, col = np.nonzero(z == cut)
-    # rank of each tied time from its row's last one: 1 for the highest index
-    from_last = np.cumsum(np.bincount(row, minlength=z.shape[0]))[row] - np.arange(row.size)
-    take = from_last <= m - np.count_nonzero(keep, axis=1)[row]
-    keep[row[take], col[take]] = True
-    top = np.nonzero(keep)[1].reshape(-1, m)
-    return np.take_along_axis(
-        top, np.argsort(np.take_along_axis(z, top, axis=1), axis=1, kind="stable"), axis=1)
 
 
 def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:

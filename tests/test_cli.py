@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailcens import cli
+from tailcens import cli, ordered_from_arrays
 from tailcens.cli import (DEFAULT_OUTLIER_TABLE, CliError, main,
                           parse_sweep_config, read_dataset)
 
@@ -413,6 +413,8 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
     (["estimate", "DATA", "--k-min", "1", "--tol", "inf"], "tol_abs=inf must be finite and > 0"),
     (["estimate", "DATA", "--k-min", "1", "--domain", "1e-6", "1e-6"],
      "domain bounds must differ, got 1e-06 twice"),
+    # checked before the ordering, whose top max(k) + 1 would be -2
+    (["estimate", "DATA", "--k-min", "-3"], "k=-3 must be >= 1"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"
@@ -436,6 +438,62 @@ def test_estimate_reversed_domain_still_solves(tmp_path, capsys):
     assert len(rows) == 3 and all(row[3] for row in rows)
     for mine, theirs in zip(rows, (line.split(",") for line in forward.splitlines()[1:])):
         assert float(mine[3]) == pytest.approx(float(theirs[3]), rel=1e-9)
+
+
+def _top_slice_cases():
+    rng = np.random.default_rng(31)
+    pareto = [float(t) for t in rng.pareto(2.0, 40) + 1.0]
+    tied = [float(t) for t in rng.integers(1, 7, 60)]
+    # cases: rows, k_max, and a row the output must hold
+    return {
+        # k_max = 30 orders the top 31; the times are 1..6, so the cut splits a tie
+        "ties straddling the cut": (list(zip(tied, rng.integers(0, 2, 60))), 30, None),
+        "tied maxima": ([(t, i % 2) for i, t in enumerate(pareto)]
+                        + [(50.0, 1), (50.0, 0), (50.0, 1), (50.0, 0)], 8, None),
+        # at k = 3 the threshold is the largest time, and the last of its
+        # ties in input order, the largest in the stable order, is uncensored
+        "uncensored maximum tied with the threshold": (
+            [(t, 1) for t in pareto] + [(50.0, 0), (50.0, 1), (50.0, 0), (50.0, 1)], 6,
+            "3,,Worms,,\n"),
+        "censored maximum": ([(t, 1) for t in pareto] + [(60.0, 0)], 10, None),
+        "all-censored top window": ([(t, 1) for t in pareto] + [(70.0 + i, 0) for i in range(6)],
+                                    12, "5,,EFG,,\n"),
+        # k_max = n - 1 orders the whole sample
+        "k = n - 1": ([(t, i % 3 > 0) for i, t in enumerate(pareto[:12])], 11, None),
+    }
+
+
+TOP_SLICE_CASES = _top_slice_cases()
+
+
+@pytest.mark.parametrize("case", list(TOP_SLICE_CASES))
+def test_estimate_on_its_top_slice_is_byte_identical_to_the_full_ordering(
+        tmp_path, capsys, monkeypatch, case):
+    rows, k_max, must_hold = TOP_SLICE_CASES[case]
+    f = tmp_path / "d.csv"
+    write_toy(f, [(t, int(s)) for t, s in rows])
+    argv = ["estimate", str(f), "--k-min", "1", "--k-max", str(k_max), "--alpha", "0",
+            "--alpha", "0.5", "--alpha", "1", "--with-competitors"]
+    sizes = []
+
+    def recorded(z, delta, top=None):
+        sample = ordered_from_arrays(z, delta, top=top)
+        sizes.append(sample.n)
+        return sample
+
+    monkeypatch.setattr(cli, "ordered_from_arrays", recorded)
+    code, sliced, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert sizes == [min(k_max + 1, len(rows))]
+    if case == "ties straddling the cut":
+        z = np.sort([t for t, _ in rows])
+        assert z[-k_max - 1] == z[-k_max - 2]
+    monkeypatch.setattr(cli, "ordered_from_arrays", lambda z, delta, top=None:
+                        ordered_from_arrays(z, delta))
+    code, full, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert sliced == full
+    assert must_hold is None or must_hold in sliced
 
 
 def test_internal_value_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from tailcens import (
     ordered_from_arrays,
     top_log_excesses,
 )
+from tailcens.sample_model import _top_slice
 
 
 def test_observation_validation():
@@ -42,17 +45,17 @@ def test_order_sample_stable_ties():
     assert s.delta_concomitant.tolist() == [1, 0]
 
 
-def ordering_permutation(z: np.ndarray) -> np.ndarray:
+def ordering_permutation(z: np.ndarray, top: int | None = None) -> np.ndarray:
     """The permutation ordered_from_arrays applies, read back bit by bit.
 
     Bit b of each input position is passed as the indicator; the
     concomitants then spell out bit b of the position at each sorted slot.
     """
     positions = np.arange(z.size)
-    perm = np.zeros(z.size, dtype=np.int64)
+    perm = 0
     for b in range(max(1, int(z.size - 1).bit_length())):
-        bits = ordered_from_arrays(z, (positions >> b) & 1).delta_concomitant
-        perm |= bits.astype(np.int64) << b
+        bits = ordered_from_arrays(z, (positions >> b) & 1, top=top).delta_concomitant
+        perm = perm | bits.astype(np.int64) << b
     return perm
 
 
@@ -115,6 +118,62 @@ def test_ordered_from_arrays_rejects_a_fractional_delta():
         ordered_from_arrays([1.0, 2.0, 3.0], [1.5, 0, 1])
     with pytest.raises(InvalidSampleError, match="delta values must be 0 or 1"):
         OrderedSample(np.array([1.0, 2.0]), np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("draw", ["uniform", "tied"])
+def test_top_slice_is_the_tail_of_the_stable_argsort(draw):
+    # integer times from a few values put ties across the cut, where the
+    # stable order keeps the highest indices of the tied times
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 60):
+        z = rng.random((5, n)) if draw == "uniform" else rng.integers(1, 4, (5, n)).astype(float)
+        for m in range(1, n + 1):
+            want = np.argsort(z, axis=1, kind="stable")[:, -m:]
+            got = _top_slice(z, m)
+            assert got.shape == want.shape and (got == want).all(), (n, m)
+
+
+@pytest.mark.parametrize("draw", ["uniform", "tied"])
+def test_ordered_from_arrays_top_is_the_tail_of_the_full_sample(draw):
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 7, 60):
+        z = rng.random(n) if draw == "uniform" else rng.integers(1, 4, n).astype(float)
+        delta = rng.integers(0, 2, n)
+        full = ordered_from_arrays(z, delta)
+        for m in range(1, n + 1):
+            got = ordered_from_arrays(z, delta, top=m)
+            np.testing.assert_array_equal(got.z_sorted, full.z_sorted[-m:])
+            np.testing.assert_array_equal(got.delta_concomitant, full.delta_concomitant[-m:])
+            np.testing.assert_array_equal(ordering_permutation(z, m),
+                                          np.argsort(z, kind="stable")[-m:])
+
+
+@pytest.mark.parametrize("time, status", [
+    (np.nan, 1), (0.0, 1), (-1.0, 1), (np.inf, 1), (1.5, 2), (1.5, 0.5)])
+def test_ordered_from_arrays_top_checks_every_observation(time, status):
+    # the bad observation is the first input row; a finite one is the
+    # smallest, outside the top 3, but still raises the full path's error
+    z = np.array([time, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    delta = np.array([status, 1, 0, 1, 1, 0, 1])
+    with pytest.raises(InvalidSampleError) as full:
+        ordered_from_arrays(z, delta)
+    with pytest.raises(InvalidSampleError, match=re.escape(str(full.value))):
+        ordered_from_arrays(z, delta, top=3)
+
+
+def test_ordered_from_arrays_top_of_n_or_more_is_the_full_sample():
+    z, delta = [3.0, 1.0, 3.0, 2.0], [1, 0, 0, 1]
+    full = ordered_from_arrays(z, delta)
+    for top in (4, 5, 10**9):
+        got = ordered_from_arrays(z, delta, top=top)
+        np.testing.assert_array_equal(got.z_sorted, full.z_sorted)
+        np.testing.assert_array_equal(got.delta_concomitant, full.delta_concomitant)
+
+
+@pytest.mark.parametrize("top", [0, -2])
+def test_ordered_from_arrays_top_below_1_is_an_error(top):
+    with pytest.raises(ValueError, match=f"top={top} must be >= 1"):
+        ordered_from_arrays([1.0, 2.0, 3.0], [1, 0, 1], top=top)
 
 
 def test_arrays_read_only():

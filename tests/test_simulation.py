@@ -29,7 +29,7 @@ from tailcens import (
 from tailcens import estimators, simulation
 from tailcens.estimators import _uncensored_fraction
 from tailcens.simulation import (_block_estimates, _draw_arrays, _replicate_range,
-                                 _replicate_rng, _top_slice)
+                                 _replicate_rng)
 
 from oracles import draw_arrays_where
 
@@ -269,19 +269,6 @@ def test_local_scans_ask_for_at_most_two_thirds_of_the_wide_scans_points(monkeyp
     monkeypatch.setattr(estimators, "_local_roots", counted)
     _replicate_range(spec, 0, spec.replicates)
     assert sum(points) <= 75_259 * 2 // 3
-
-
-@pytest.mark.parametrize("draw", ["uniform", "tied"])
-def test_top_slice_is_the_tail_of_the_stable_argsort(draw):
-    # integer times from a few values put ties across the cut, where the
-    # stable order keeps the highest indices of the tied times
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 7, 60):
-        z = rng.random((5, n)) if draw == "uniform" else rng.integers(1, 4, (5, n)).astype(float)
-        for m in range(1, n + 1):
-            want = np.argsort(z, axis=1, kind="stable")[:, -m:]
-            got = _top_slice(z, m)
-            assert got.shape == want.shape and (got == want).all(), (n, m)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
