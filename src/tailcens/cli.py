@@ -595,8 +595,8 @@ def cmd_synth(args) -> int:
                                                    seed=args.seed)
     with np.errstate(over="ignore"):  # overflow to inf is caught just below
         times *= args.scale
-    # checked before writing, so that the dataset reads back
-    if not np.all((times > 0) & (times < np.inf)):
+    # checked before writing, so that the dataset reads back; a NaN fails both
+    if not (0 < times.min() and times.max() < np.inf):
         raise CliError("a scaled time is not positive and finite; choose another --scale")
     _write_output(times, statuses, args.output)
     return 0

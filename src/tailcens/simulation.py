@@ -34,6 +34,11 @@ from .sample_model import InvalidSampleError, ModelParams, _check_times, _top_sl
 # of each k's window.
 BLOCK_BYTES = 3 << 20
 
+# Columns of a draw whose quantiles and censoring are evaluated at once
+# (:func:`_draw_arrays`); a draw of n <= _DRAW_CHUNK, as a sweep block of
+# the README's configs, is one chunk.
+_DRAW_CHUNK = 2**16
+
 
 def burr_quantile(u, gamma1: float, eta: float):
     """Inverse of the Burr cdf F(x) = 1 - (1 + x^(1/eta))^(-eta/gamma1)."""
@@ -106,35 +111,44 @@ def _uniforms(rngs: Sequence[np.random.Generator], n: int) -> np.ndarray:
 
 def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
                  rngs: Sequence[np.random.Generator]):
-    """Latent draws (x, c) and observed (z, delta) of R samples, as (R, n) arrays.
+    """Observed times z and indicators delta of R samples, as (R, n) arrays.
 
     Row r comes from the stream rngs[r] alone: its uniforms are drawn in
     the order u_mix, u_x, u_c, each n long, so a row does not depend on the
-    rows drawn with it.  Each uniform array is dropped once used, and the
-    contaminant quantile is evaluated on the contaminated entries only, so
-    no array the size of the block is kept that the result does not need.
+    rows drawn with it.  Besides the contamination mask, delta and the
+    buffer that holds u_x, then x, then z, only one chunk of _DRAW_CHUNK
+    columns is alive at a time: x is evaluated a chunk at a time (the
+    contaminant quantile on the contaminated entries only), and each
+    chunk's censoring times are drawn and folded into z and delta at once.
+    Both quantiles are elementwise, so the chunking does not change a bit.
     Raises InvalidSampleError where a censoring time underflows to 0, which
     only a p close to 1 gives.
     """
     contaminated = _uniforms(rngs, n) < contamination.epsilon
-    u_x = _uniforms(rngs, n)
-    x = burr_quantile(u_x, model.gamma1, model.eta)
-    x[contaminated] = burr_quantile(u_x[contaminated], contamination.theta1, model.eta)
-    del u_x
-    u_c = _uniforms(rngs, n)
-    # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
-    c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny, out=u_c), model.gamma2)
-    del u_c
-    # contaminants are corrupted recorded values: always observed, never
-    # censored (this, not censoring the contaminant draw, reproduces the
-    # robustness orderings the sweep is meant to exhibit)
-    c[contaminated] = np.inf
-    if c.min() == 0.0:
-        raise InvalidSampleError(f"a censoring time underflows to 0 at p={model.p:.12g} "
-                                 f"(gamma2={model.gamma2:.12g}); choose a smaller p")
-    z = np.minimum(x, c)
-    delta = (x <= c).astype(np.int8)
-    return x, c, z, delta
+    z = _uniforms(rngs, n)
+    for lo in range(0, n, _DRAW_CHUNK):
+        u_x, bad = z[:, lo:lo + _DRAW_CHUNK], contaminated[:, lo:lo + _DRAW_CHUNK]
+        x = burr_quantile(u_x, model.gamma1, model.eta)
+        x[bad] = burr_quantile(u_x[bad], contamination.theta1, model.eta)
+        u_x[...] = x
+    del x
+    delta = np.empty(z.shape, dtype=np.int8)
+    for lo in range(0, n, _DRAW_CHUNK):
+        x, bad = z[:, lo:lo + _DRAW_CHUNK], contaminated[:, lo:lo + _DRAW_CHUNK]
+        u_c = _uniforms(rngs, x.shape[1])
+        # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
+        c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny, out=u_c), model.gamma2)
+        del u_c
+        # contaminants are corrupted recorded values: always observed, never
+        # censored (this, not censoring the contaminant draw, reproduces the
+        # robustness orderings the sweep is meant to exhibit)
+        c[bad] = np.inf
+        if c.min() == 0.0:
+            raise InvalidSampleError(f"a censoring time underflows to 0 at p={model.p:.12g} "
+                                     f"(gamma2={model.gamma2:.12g}); choose a smaller p")
+        delta[:, lo:lo + _DRAW_CHUNK] = x <= c
+        np.minimum(x, c, out=x)
+    return z, delta
 
 
 def sample_contaminated_censored(n: int, model: ModelParams,
@@ -145,11 +159,13 @@ def sample_contaminated_censored(n: int, model: ModelParams,
     Returns the pair (z, delta) of float64 times and int8 indicators in
     draw order; ``order_sample`` turns it into an OrderedSample.
     Deterministic for fixed (seed, replicate), and equal to that replicate's
-    row of the sweep's block draw.
+    row of the sweep's block draw.  The latent lifetimes and censoring times
+    are not kept, so the draw peaks at about 12 bytes a row, 9 of them the
+    result's (:func:`_draw_arrays`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, z, delta = _draw_arrays(n, model, contamination, [_replicate_rng(seed, replicate)])
+    z, delta = _draw_arrays(n, model, contamination, [_replicate_rng(seed, replicate)])
     return z[0], delta[0]
 
 
@@ -196,7 +212,7 @@ def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
     bit-identical to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
     """
     z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
-                            [_replicate_rng(spec.seed, r) for r in replicates])[2:]
+                            [_replicate_rng(spec.seed, r) for r in replicates])
     _check_times(z)
     top = _top_slice(z, max(spec.k_grid) + 1)
     return _solve_windows(np.take_along_axis(z, top, axis=1),
@@ -266,12 +282,13 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     of replicates; the ranges are concatenated in replicate order, so the
     result does not depend on n_jobs or scheduling.  A range is solved in
     blocks of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A
-    block is drawn as one array, and only each row's max(k) + 1 largest
-    times are ordered (:func:`_top_slice`).  Every (k, alpha) cell of it is
-    solved together: a local root scan of 6, then where needed 16, grid
-    rows and one lockstep Brent pass over every k, falling back to the full
-    scan, which gives every cell the full scan's root bit for bit and does
-    not depend on the block.
+    block is drawn as one (z, delta) pair of arrays, without its latent
+    lifetimes and censoring times (:func:`_draw_arrays`), and only each
+    row's max(k) + 1 largest times are ordered (:func:`_top_slice`).  Every
+    (k, alpha) cell of it is solved together: a local root scan of 6, then
+    where needed 16, grid rows and one lockstep Brent pass over every k,
+    falling back to the full scan, which gives every cell the full scan's
+    root bit for bit and does not depend on the block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

@@ -45,8 +45,9 @@ def frechet_cdf(x, gamma2):
 
 
 def draw_one(n, model, contamination, rng):
-    """_draw_arrays of a block of one stream, as 1-d arrays."""
-    return [a[0] for a in _draw_arrays(n, model, contamination, [rng])]
+    """_draw_arrays of a block of one stream: (z, delta) as 1-d arrays."""
+    z, delta = _draw_arrays(n, model, contamination, [rng])
+    return z[0], delta[0]
 
 
 def test_burr_quantile_hand_values():
@@ -119,7 +120,11 @@ def test_sampler_deterministic():
 def test_censoring_identity_latent():
     model = ModelParams(gamma1=0.3, gamma2=0.7)
     cont = ContaminationSpec(epsilon=0.15, theta1=0.6)
-    x, c, z, d = draw_one(500, model, cont, _replicate_rng(2, 0))
+    # the latent x and c come from the where formulation of the same stream,
+    # which test_draw_arrays_is_byte_equal_to_the_where_formulation ties to
+    # the library's draw
+    x, c, _, _ = draw_arrays_where(500, model, cont, _replicate_rng(2, 0))
+    z, d = draw_one(500, model, cont, _replicate_rng(2, 0))
     public_z, public_d = sample_contaminated_censored(500, model, cont, seed=2)
     assert z.tobytes() == public_z.tobytes() and d.tobytes() == public_d.tobytes()
     np.testing.assert_allclose(z, np.minimum(x, c))
@@ -133,21 +138,52 @@ def test_censoring_identity_latent():
 def test_draw_arrays_is_byte_equal_to_the_where_formulation(seed, n, epsilon, theta1, eta):
     # (5.0, 0.05): (1 - u)^(-theta1/eta) overflows for u > 0.9992, so the
     # contaminant quantile takes its overflow branch at the larger n
+    assert_block_equals_where(seed, n, epsilon, theta1, eta)
+
+
+def assert_block_equals_where(seed, n, epsilon, theta1, eta):
     model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7), eta=eta)
     cont = ContaminationSpec(epsilon=epsilon, theta1=theta1)
     # a block of three streams: each row is that stream's draw alone
     got = _draw_arrays(n, model, cont, [_replicate_rng(seed, r) for r in range(3)])
     for r in range(3):
-        want = draw_arrays_where(n, model, cont, _replicate_rng(seed, r))
-        for name, a, b in zip(("x", "c", "z", "delta"), got, want):
+        want = draw_arrays_where(n, model, cont, _replicate_rng(seed, r))[2:]
+        for name, a, b in zip(("z", "delta"), got, want):
             assert a.shape == (3, n) and a.dtype == b.dtype, name
             assert a[r].tobytes() == b.tobytes(), (name, r)
 
 
+@pytest.mark.parametrize("n", [simulation._DRAW_CHUNK, 3 * simulation._DRAW_CHUNK + 5])
+@pytest.mark.parametrize("theta1, eta", [(0.6, 0.25), (5.0, 0.05)])
+def test_draw_arrays_chunk_edges_are_byte_equal_to_the_where_formulation(n, theta1, eta):
+    # one whole chunk, and three whole chunks and a short one
+    assert_block_equals_where(5, n, 0.15, theta1, eta)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.15, 0.4])
+def test_sample_draw_peak_memory_per_row(epsilon):
+    # the draw holds z, delta, the contamination mask and one chunk of
+    # columns: 11.6 traced bytes per row at n = 10^6, against 27.0 when the
+    # latent x and c were drawn whole and kept beside z
+    n = 10**6
+    model = ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.3, 0.7))
+    cont = ContaminationSpec(epsilon=epsilon, theta1=0.6)
+    sample_contaminated_censored(n, model, cont, seed=0)  # first-use work is not the draw's
+    tracemalloc.start()
+    try:
+        sample_contaminated_censored(n, model, cont, seed=0)
+        per_row = tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+    assert per_row <= 12, per_row
+
+
 def test_uncontaminated_ks():
-    model = ModelParams(gamma1=0.3, gamma2=100.0)  # effectively no censoring
+    # x is the latent lifetime, so censoring does not enter; gamma2 = 100
+    # censors 3638 of these 10 000 draws
+    model = ModelParams(gamma1=0.3, gamma2=100.0)
     cont = ContaminationSpec(epsilon=0.0, theta1=0.6)
-    x, _, _, _ = draw_one(10_000, model, cont, _replicate_rng(9, 0))
+    x = draw_arrays_where(10_000, model, cont, _replicate_rng(9, 0))[0]
     stat = kstest(x, lambda t: burr_cdf(t, 0.3, 0.25)).statistic
     assert stat < 0.05
 
@@ -155,7 +191,7 @@ def test_uncontaminated_ks():
 def test_fully_contaminated_ks():
     model = ModelParams(gamma1=0.3, gamma2=100.0)
     cont = ContaminationSpec(epsilon=0.999999, theta1=0.6)
-    x, _, _, _ = draw_one(10_000, model, cont, _replicate_rng(9, 0))
+    x = draw_arrays_where(10_000, model, cont, _replicate_rng(9, 0))[0]
     stat = kstest(x, lambda t: burr_cdf(t, 0.6, 0.25)).statistic
     assert stat < 0.05
 
@@ -200,8 +236,8 @@ def test_sweep_single_replicate_identity():
 
 def full_scan_estimates(spec, replicate):
     """Reference oracle: every (k, alpha) cell solved by the full grid scan."""
-    _, _, z, delta = draw_one(spec.n, spec.model, spec.contamination,
-                              _replicate_rng(spec.seed, replicate))
+    z, delta = draw_one(spec.n, spec.model, spec.contamination,
+                        _replicate_rng(spec.seed, replicate))
     sample = ordered_from_arrays(z, delta)
     out = np.full((len(spec.k_grid), len(spec.alphas)), np.nan)
     for ki, k in enumerate(spec.k_grid):
@@ -277,9 +313,9 @@ def test_block_rejects_a_time_that_is_not_positive_and_finite(monkeypatch, bad):
     draw = simulation._draw_arrays
 
     def with_bad_time(*args):
-        x, c, z, delta = draw(*args)
+        z, delta = draw(*args)
         z[1, 7] = bad
-        return x, c, z, delta
+        return z, delta
 
     monkeypatch.setattr(simulation, "_draw_arrays", with_bad_time)
     with pytest.raises(InvalidSampleError, match="all z must be positive and finite"):
@@ -293,16 +329,16 @@ def test_block_orders_tied_times_as_ordered_from_arrays(monkeypatch):
     draw = simulation._draw_arrays
 
     def tied(*args):
-        x, c, z, delta = draw(*args)
+        z, delta = draw(*args)
         z[:, 1::2] = z[:, ::2]
         delta[:, 1::2] = 1 - delta[:, ::2]
-        return x, c, z, delta
+        return z, delta
 
     monkeypatch.setattr(simulation, "_draw_arrays", tied)
     block = _block_estimates(spec, range(4))
     for r in range(4):
-        _, _, z, delta = draw_one(spec.n, spec.model, spec.contamination,
-                                  _replicate_rng(spec.seed, r))
+        z, delta = draw_one(spec.n, spec.model, spec.contamination,
+                            _replicate_rng(spec.seed, r))
         z[1::2], delta[1::2] = z[::2], 1 - delta[::2]
         sample = ordered_from_arrays(z, delta)
         for ki, k in enumerate(spec.k_grid):
