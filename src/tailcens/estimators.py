@@ -369,9 +369,44 @@ def mdpd_estimate(sample: OrderedSample, config: TailConfig,
 _SWEEP_OPTIONS = SolverOptions()
 
 
+def _nearest_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray], cells: np.ndarray,
+                   points: np.ndarray, values: np.ndarray, reference: np.ndarray,
+                   reach: np.ndarray) -> np.ndarray:
+    """Row j's root nearest reference[j] among its scanned points, NaN unless within reach[j].
+
+    Row j of points holds grid rows of cell cells[j] in increasing order, and
+    of values the residuals there, NaN where not scanned.  As in
+    :meth:`MdpdWindow.estimate`, the candidates are the exact zeros, then the
+    Brent roots in row order that meet ``tol_abs``, and the first nearest
+    wins.  Every bracket is refined in one :func:`_brent_many` from the
+    scanned end values, which returns the residual at each root.
+    """
+    zero_cell, zero_row = np.nonzero(values == 0.0)
+    cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
+    roots, _, at_roots = _brent_many(
+        lambda idx, x: residual(cells[cell[idx]], x[:, None])[:, 0],
+        points[cell, row], points[cell, row + 1], xtol=1e-14, rtol=8.9e-16, maxiter=MAX_ITER,
+        fa=values[cell, row], fb=values[cell, row + 1])
+    met = np.abs(at_roots) <= _SWEEP_OPTIONS.tol_abs
+    cell, row, roots = cell[met], row[met], roots[met]
+    # candidates in the full scan's order: exact zeros, then Brent roots;
+    # per cell, the nearest and then the first of equals wins
+    found = np.full(reference.size, np.nan)
+    cell = np.concatenate([zero_cell, cell])
+    candidates = np.concatenate([points[zero_cell, zero_row], roots])
+    order = np.concatenate([zero_row, values.shape[1] + row])
+    distance = np.abs(candidates - reference[cell])
+    ranked = np.lexsort((order, distance, cell))
+    first = ranked[np.unique(cell[ranked], return_index=True)[1]]
+    best = cell[first]
+    proven = distance[first] < reach[best]
+    found[best[proven]] = candidates[first[proven]]
+    return found
+
+
 def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  reference: np.ndarray) -> np.ndarray:
-    """Each cell's nearest full-scan root, from a few grid rows; NaN where unproven.
+    """Each cell's MDPD estimate: its full scan's root nearest the reference, or NaN.
 
     Cell c is one window at one alpha > 0; residual(cells, g) returns, for
     each j, the residuals of cell cells[j] at the points g[j, :], with the
@@ -383,19 +418,15 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     infinitely far.  Every cell first scans its NARROW_ROWS window.  It
     scans the rest of its LOCAL_ROWS window, which holds the narrow one,
     only if no exact zero among those rows, and no sign change between two
-    of them, lies strictly within the narrow reach.  Each cell's candidates
-    on its own window are, as in :meth:`MdpdWindow.estimate`, first the rows
-    where the residual is exactly 0, then the Brent root of each sign change
-    in row order whose residual meets ``tol_abs``; the nearest to the
-    reference wins, the first of equals on a tie.  Every bracket of every
-    cell is refined in one :func:`_brent_many`, which starts from the
-    scanned values at the bracket ends and returns the residual at each
-    root, so no value is computed twice.  Since the scanned rows are the
-    full scan's, their roots are the full scan's roots inside the window,
-    and the winner is returned only if it lies strictly within the reach of
-    the cell's window: any root outside the window lies beyond an edge, so
-    it cannot be nearer.  A cell without candidates, or whose winner fails
-    that test, gets NaN.
+    of them, lies strictly within the narrow reach.  The scanned rows are
+    the full scan's, so their roots are the full scan's roots inside the
+    window, and the nearest (:func:`_nearest_roots`) is kept only within the
+    reach of the cell's window, beyond which an unscanned root could be
+    nearer.  The cells still without a value scan the whole grid,
+    LOCAL_ROWS - NARROW_ROWS rows at a time, and keep their nearest root at
+    any distance.  So each cell gets the bits of ``MdpdWindow.estimate``,
+    and NaN exactly where that raises: where no root meets ``tol_abs``, as
+    where all weights are 0 and the residual is negative everywhere.
     """
     grid = _SWEEP_OPTIONS.grid
     nearest = np.searchsorted(grid, reference)
@@ -413,8 +444,8 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # it scanned, and NaN, which gives no zero or sign change, at the others
     values = np.full(points.shape, np.nan)
     narrow = (narrow_lo - lo)[:, None] + np.arange(NARROW_ROWS)
-    every = np.arange(reference.size)[:, None]
-    values[every, narrow] = residual(slice(None), points[every, narrow])
+    every = np.arange(reference.size)
+    values[every[:, None], narrow] = residual(slice(None), points[every[:, None], narrow])
     within = np.abs(points - reference[:, None]) < narrow_reach[:, None]
     settled = np.any((values == 0.0) & within, axis=1) | np.any(
         (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & within[:, :-1] & within[:, 1:],
@@ -425,27 +456,16 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rest = np.nonzero(rest)[1].reshape(wide.size, LOCAL_ROWS - NARROW_ROWS)
     values[wide[:, None], rest] = residual(wide, points[wide[:, None], rest])
     reach[settled] = narrow_reach[settled]
+    found = _nearest_roots(residual, every, points, values, reference, reach)
 
-    zero_cell, zero_row = np.nonzero(values == 0.0)
-    cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
-    roots, _, at_roots = _brent_many(
-        lambda idx, x: residual(cell[idx], x[:, None])[:, 0],
-        points[cell, row], points[cell, row + 1], xtol=1e-14, rtol=8.9e-16, maxiter=MAX_ITER,
-        fa=values[cell, row], fb=values[cell, row + 1])
-    met = np.abs(at_roots) <= _SWEEP_OPTIONS.tol_abs
-    cell, row, roots = cell[met], row[met], roots[met]
-    # candidates in the full scan's order: exact zeros, then Brent roots;
-    # per cell, the nearest and then the first of equals wins
-    found = np.full(reference.size, np.nan)
-    cells = np.concatenate([zero_cell, cell])
-    candidates = np.concatenate([points[zero_cell, zero_row], roots])
-    order = np.concatenate([zero_row, LOCAL_ROWS + row])
-    distance = np.abs(candidates - reference[cells])
-    ranked = np.lexsort((order, distance, cells))
-    first = ranked[np.unique(cells[ranked], return_index=True)[1]]
-    best = cells[first]
-    proven = distance[first] < reach[best]
-    found[best[proven]] = candidates[first[proven]]
+    left, step = np.flatnonzero(np.isnan(found)), LOCAL_ROWS - NARROW_ROWS
+    if left.size:
+        points = np.broadcast_to(grid, (left.size, grid.size))
+        values = np.empty(points.shape)
+        for start in range(0, grid.size, step):
+            values[:, start:start + step] = residual(left, points[:, start:start + step])
+        found[left] = _nearest_roots(residual, left, points, values, reference[left],
+                                     np.full(left.size, np.inf))
     return found
 
 
@@ -475,11 +495,9 @@ def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.n
     indicators.  Each value is bit-identical to ``MdpdWindow(sample, k)
     .estimate(alpha).gamma1_hat``, and NaN where that raises
     EstimationError.  The windows are built once per k.  Every cell at
-    alpha > 0, whatever its k, goes through one :func:`_local_roots`: its
-    scan takes one :func:`_stacked_residuals` per k, and each Brent step
-    one per k that still has cells iterating.  The cells it leaves unproven
-    go through ``MdpdWindow.estimate`` on a sample of the m largest
-    observations, which hold all that a top-k window reads.
+    alpha > 0, whatever its k, is solved in one :func:`_local_roots`, its
+    only solve path: each of its scans takes one :func:`_stacked_residuals`
+    per k, and each Brent step one per k that still has cells iterating.
     """
     alphas = np.asarray(alphas, dtype=float)
     positive = np.flatnonzero(alphas > 0)
@@ -514,11 +532,4 @@ def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.n
     out[:, :, alphas == 0] = np.where(references > 0, references, np.nan)[:, :, None]
     local = _local_roots(residual, np.repeat(references.T, cells_per_window))
     out[:, :, positive] = local.reshape(len(k_grid), size, cells_per_window).transpose(1, 0, 2)
-    for r, ki, j in zip(*np.nonzero(np.isnan(out[:, :, positive]))):
-        try:
-            window = MdpdWindow(OrderedSample(tops[r], deltas[r]), k_grid[ki])
-            out[r, ki, positive[j]] = window.estimate(float(cell_alphas[j]),
-                                                      _SWEEP_OPTIONS).gamma1_hat
-        except EstimationError:
-            pass
     return out

@@ -29,7 +29,8 @@ from .sample_model import InvalidSampleError, ModelParams, _check_times, _top_sl
 # Bytes that the float64 arrays of one block of replicates, which are
 # drawn and solved together, may take: per replicate, the local scans of
 # its cells at alpha > 0 (LOCAL_ROWS x largest k each, which bounds the
-# narrow scan of every cell and the wider scan of the cells that need it),
+# narrow scan of every cell, and the wider scan and the full-grid scan,
+# LOCAL_ROWS - NARROW_ROWS rows at a time, of the cells that need them),
 # its largest observations, three n-long draw arrays and the three arrays
 # of each k's window.
 BLOCK_BYTES = 3 << 20
@@ -186,6 +187,10 @@ class SweepSpec:
             raise ValueError("n must be >= 10")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not self.k_grid:
+            raise ValueError("k_grid must not be empty")
+        if not self.alphas:
+            raise ValueError("alphas must not be empty")
         if any(k >= self.n or k < 1 for k in self.k_grid):
             raise ValueError("every k must satisfy 1 <= k < n")
         if any(a < 0 for a in self.alphas):
@@ -287,8 +292,9 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     row's max(k) + 1 largest times are ordered (:func:`_top_slice`).  Every
     (k, alpha) cell of it is solved together: a local root scan of 6, then
     where needed 16, grid rows and one lockstep Brent pass over every k,
-    falling back to the full scan, which gives every cell the full scan's
-    root bit for bit and does not depend on the block.
+    then the whole grid and a second such pass for the cells still
+    unproven.  That gives every cell the full scan's root bit for bit, and
+    does not depend on the block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

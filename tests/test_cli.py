@@ -227,13 +227,17 @@ def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
     assert stdout == "" and not out.exists()
 
 
-def test_sweep_config_k_step_must_be_positive(tmp_path, capsys):
+@pytest.mark.parametrize("lines, message", [
+    ("k_step = 0\n", "invalid config value: k_step must be >= 1"),
+    ("k_min = 80\nk_max = 50\n", "k_grid must not be empty"),
+], ids=["k_step", "empty_k_range"])
+def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\nk_step = 0\n")
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n" + lines)
     out = tmp_path / "o"
     code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out))
     assert code == 1
-    assert err.strip() == "error: invalid config value: k_step must be >= 1"
+    assert err.strip() == f"error: {message}"
     assert stdout == "" and not out.exists()
 
 

@@ -431,8 +431,18 @@ def local_roots(*windows):
     return estimators._local_roots(scripted(*windows), reference)
 
 
+def full_estimate(window, alpha=0.5):
+    """The full scan's estimate, NaN where it raises."""
+    try:
+        return window.estimate(alpha).gamma1_hat
+    except EstimationError:
+        return np.nan
+
+
 def local_and_full(window, alpha=0.5):
-    return local_roots(window)[0], window.estimate(alpha).gamma1_hat
+    local, full = local_roots(window)[0], full_estimate(window, alpha)
+    assert np.array(local).tobytes() == np.array(full).tobytes()
+    return local, full
 
 
 def scanned_rows(window):
@@ -446,6 +456,10 @@ def scanned_rows(window):
 
     estimators._local_roots(recorded, np.array([window.reference]))
     return rows
+
+
+# the scanned rows of a cell that reaches the whole grid, ten rows at a time
+FULL_GRID = [10] * 20
 
 
 # a root in the grid step that holds the reference 1.0, nearer than both narrow edges
@@ -485,15 +499,14 @@ def test_root_beyond_the_narrow_rows_is_found_by_the_wide_scan():
     assert local == full == pytest.approx(BELOW_NARROW)
 
 
-def test_narrow_bracket_failing_the_tolerance_falls_back():
+def test_narrow_bracket_failing_the_tolerance_scans_the_full_grid():
     # the jump at NEAR is a sign change that the narrow rows could prove
     # nearest, so the wide rows are not scanned; its Brent root fails
-    # tol_abs, which leaves the root below the narrow window to the full scan
+    # tol_abs, which leaves the root below the narrow window to the full grid
     window = ScriptedWindow(lambda g: g - BELOW_NARROW if g < NEAR else -1.0)
-    assert scanned_rows(window) == [6]
+    assert scanned_rows(window) == [6] + FULL_GRID
     local, full = local_and_full(window)
-    assert np.isnan(local)
-    assert full == pytest.approx(BELOW_NARROW)
+    assert local == full == pytest.approx(BELOW_NARROW)
 
 
 def test_narrow_cell_proves_its_winner_on_the_narrow_window():
@@ -504,35 +517,34 @@ def test_narrow_cell_proves_its_winner_on_the_narrow_window():
     below = np.sqrt(GRID[MID - 4] * GRID[MID - 3])
     assert abs(below - 1.0) < abs(above - 1.0) < 1.0 - GRID[MID - 8]
     window = ScriptedWindow(lambda g: g - below if g < NEAR else g - above)
-    assert scanned_rows(window) == [6]
+    assert scanned_rows(window) == [6] + FULL_GRID
     local, full = local_and_full(window)
-    assert np.isnan(local)
-    assert full == pytest.approx(below)
+    assert local == full == pytest.approx(below)
 
 
-def test_local_scan_without_sign_change_falls_back():
+def test_local_scan_without_sign_change_scans_the_full_grid():
     window = ScriptedWindow(lambda g: g - 20.0)
+    assert scanned_rows(window) == [6, 10] + FULL_GRID
     local, full = local_and_full(window)
-    assert np.isnan(local)
-    assert full == pytest.approx(20.0)
+    assert local == full == pytest.approx(20.0)
 
 
-def test_local_scan_root_rejected_by_tolerance_falls_back():
+def test_local_scan_root_rejected_by_tolerance_scans_the_full_grid():
     # a jump at 1.1 brackets no root: Brent stops there with |residual| = 1
     window = ScriptedWindow(lambda g: np.sign(g - 1.1) if g < 10.0 else 15.0 - g)
+    assert scanned_rows(window) == [6, 10] + FULL_GRID
     local, full = local_and_full(window)
-    assert np.isnan(local)
-    assert full == pytest.approx(15.0)
+    assert local == full == pytest.approx(15.0)
 
 
-def test_local_root_not_closer_than_window_edge_falls_back():
+def test_local_root_not_closer_than_window_edge_scans_the_full_grid():
     inside = np.sqrt(GRID[MID + 6] * GRID[MID + 7])  # near the upper window edge
     outside = np.sqrt(GRID[MID - 10] * GRID[MID - 9])  # below the lower edge, nearer
     assert abs(outside - 1.0) < abs(inside - 1.0)
     window = ScriptedWindow(lambda g: (g - outside) * (g - inside))
+    assert scanned_rows(window) == [6, 10] + FULL_GRID
     local, full = local_and_full(window)
-    assert np.isnan(local)
-    assert full == pytest.approx(outside)
+    assert local == full == pytest.approx(outside)
 
 
 CLIPPED = [
@@ -552,8 +564,9 @@ def test_local_scan_window_clipped_at_grid_end(reference, root):
     assert local == full == pytest.approx(root)
 
 
-def test_local_scan_no_root_falls_back_and_the_full_scan_raises():
+def test_local_scan_no_root_is_nan_where_the_full_scan_raises():
     window = ScriptedWindow(lambda g: 1.0)
+    assert scanned_rows(window) == [6, 10] + FULL_GRID
     assert np.isnan(local_roots(window)[0])
     with pytest.raises(NoRootError, match="no root in bracket"):
         window.estimate(0.5)
@@ -617,8 +630,8 @@ def test_local_scan_of_many_cells_is_each_cells_own():
     together = local_roots(*windows)
     alone = np.array([local_roots(window)[0] for window in windows])
     assert together.tobytes() == alone.tobytes()
-    assert np.isnan(together).tolist() == ([False, True, False, True, True, False]
-                                           + [False] * 4 + [False, False, True])
+    assert together.tobytes() == np.array([full_estimate(w) for w in windows]).tobytes()
+    assert np.isnan(together).tolist() == [False] * 4 + [True] + [False] * 8
     assert together[5] == pytest.approx(1.05)
 
 

@@ -225,6 +225,10 @@ def test_spec_validation():
         make_spec(k_grid=(300,))
     with pytest.raises(ValueError):
         make_spec(alphas=(-0.1,))
+    with pytest.raises(ValueError, match="k_grid must not be empty"):
+        make_spec(k_grid=())
+    with pytest.raises(ValueError, match="alphas must not be empty"):
+        make_spec(alphas=())
 
 
 def test_sweep_single_replicate_identity():
@@ -255,27 +259,41 @@ SWEEP_EPS40 = dict(n=1000, model=ModelParams(gamma1=0.3, gamma2=gamma2_from_p(0.
                    alphas=(0.0, 0.1, 0.5, 1.0), k_grid=(50, 100, 150, 200, 250, 300))
 
 
+def count_full_grid_cells(monkeypatch):
+    """A list that gets the number of cells of each full-grid stage of _local_roots."""
+    counts = []
+    nearest_roots = estimators._nearest_roots
+
+    def counted(residual, cells, points, values, reference, reach):
+        if points.shape[1] == estimators.GRID_POINTS:
+            counts.append(cells.size)
+        return nearest_roots(residual, cells, points, values, reference, reach)
+
+    monkeypatch.setattr(estimators, "_nearest_roots", counted)
+    return counts
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("epsilon", [0.0, 0.4])
 def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     # the sweep-eps40 configuration; replicates 100 (seed 1) and 1 and 162
-    # (seed 7) hold the only eps = 0.4 cells whose local scan falls back.
+    # (seed 7) hold the only eps = 0.4 cells that reach the full grid.
     # One block of all the replicates, each replicate on its own and the
     # full scan give the same bytes
     spec = make_spec(**{**SWEEP_EPS40, "seed": seed,
                         "contamination": ContaminationSpec(epsilon=epsilon, theta1=0.6)})
-    outcomes, calls = [], []
+    calls = []
     local_roots = estimators._local_roots
 
     def counted(residual, reference):
-        found = local_roots(residual, reference)
-        outcomes.extend(np.isnan(found).tolist())
         calls.append(reference.size)
-        return found
+        return local_roots(residual, reference)
 
     monkeypatch.setattr(estimators, "_local_roots", counted)
+    full_grid = count_full_grid_cells(monkeypatch)
     replicates = [*range(40), 100, 162]
     block = _block_estimates(spec, replicates)
+    reached = sum(full_grid)
     # one local solve for every cell at alpha > 0 of the block, all k together
     assert calls == [len(replicates) * 6 * 3]
     assert block.tobytes() == np.concatenate([_block_estimates(spec, [r])
@@ -283,14 +301,27 @@ def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     assert calls[1:] == [6 * 3] * len(replicates)
     assert block.tobytes() == np.stack([full_scan_estimates(spec, r)
                                         for r in replicates]).tobytes()
-    # both paths ran; no cell of seed 0 at eps = 0.4 falls back
-    assert not all(outcomes)
-    assert any(outcomes) == ((seed, epsilon) != (0, 0.4))
+    # the same cells reach the full grid in the block and alone; some cells
+    # do, but not all, and none of seed 0 at eps = 0.4
+    assert sum(full_grid) == 2 * reached
+    assert reached < calls[0]
+    assert (reached > 0) == ((seed, epsilon) != (0, 0.4))
+
+
+def test_full_grid_cells_of_the_readme_sweep_at_eps_0(monkeypatch):
+    # 171 of the 3600 cells at alpha > 0 leave the local scan unproven and
+    # scan the whole grid; 0 do at eps = 0.4 (see above)
+    spec = make_spec(**{**SWEEP_EPS40, "seed": 0, "replicates": 200,
+                        "contamination": ContaminationSpec(epsilon=0.0, theta1=0.6)})
+    full_grid = count_full_grid_cells(monkeypatch)
+    _replicate_range(spec, 0, spec.replicates)
+    assert sum(full_grid) == 171
 
 
 def test_local_scans_ask_for_at_most_two_thirds_of_the_wide_scans_points(monkeypatch):
     # scanning all 16 rows of every cell asked the residual at 75 259 points
-    # for this spec (57 600 of them in the scans); narrow rows first ask 44 499.
+    # for this spec (57 600 of them in the scans); narrow rows first ask 44 499,
+    # and no cell reaches the full grid.
     # The count depends only on the data, so it guards the saving
     spec = make_spec(**SWEEP_EPS40, seed=0, replicates=200)
     points = []
@@ -397,6 +428,25 @@ def test_replicate_range_memory_is_bounded():
     big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
                     replicates=4)
     assert traced_peak_mib(big) <= 2 * 1.42
+
+
+def test_replicate_range_memory_is_bounded_when_every_cell_scans_the_full_grid(monkeypatch):
+    # with every observation censored, every window's weights are 0, so no
+    # cell has a root and each scans the whole grid, ten rows at a time: the
+    # sweep-eps40 spec then peaks at 3.04 MiB (2.65 MiB when such cells were
+    # solved one by one), within the bound above
+    draw = simulation._draw_arrays
+
+    def censored(*args):
+        z, delta = draw(*args)
+        delta[:] = 0
+        return z, delta
+
+    monkeypatch.setattr(simulation, "_draw_arrays", censored)
+    full_grid = count_full_grid_cells(monkeypatch)
+    spec = make_spec(**SWEEP_EPS40, replicates=200)
+    assert traced_peak_mib(spec) <= 4.0
+    assert sum(full_grid) == (1 + spec.replicates) * 6 * 3
 
 
 def test_sweep_jensen():
