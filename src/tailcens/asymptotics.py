@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .sample_model import ModelParams
+from .sample_model import ModelParams, _check_alpha
 
 
 def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
@@ -55,10 +55,9 @@ def _phi_star(x, alpha: float, gamma1: float):
 
 def eta_star(alpha: float, gamma1: float) -> float:
     """Curvature constant of the estimating equation at the true index."""
-    if gamma1 <= 0:
-        raise ValueError("gamma1 must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 < gamma1 < np.inf:
+        raise ValueError("gamma1 must be positive and finite")
+    _check_alpha(alpha)
     u = alpha * (1.0 + gamma1)
     return (1.0 + alpha) / gamma1 ** (2.0 + alpha) * (u * u + 1.0) / (u + 1.0) ** 3
 
@@ -69,10 +68,10 @@ def mu(alpha: float, gamma1: float, tau1: float) -> float:
     At tau1 = 0 the kernel is its limit log(x)/gamma1^2.  With x = e^v the
     integral is elementary, and its closed form does not divide by tau1.
     """
-    if tau1 > 0:
-        raise ValueError("tau1 must be nonpositive")
-    if gamma1 <= 0 or alpha <= 0:
-        raise ValueError("gamma1 and alpha must be positive")
+    if not -np.inf < tau1 <= 0:
+        raise ValueError("tau1 must be nonpositive and finite")
+    if not (0 < gamma1 < np.inf and 0 < alpha < np.inf):
+        raise ValueError("gamma1 and alpha must be positive and finite")
     scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
     rho = decay + 1.0 / gamma1 - 1.0
     d = tau1 / gamma1
@@ -81,6 +80,7 @@ def mu(alpha: float, gamma1: float, tau1: float) -> float:
 
 
 def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelParams:
+    _check_alpha(alpha)
     model = ModelParams(gamma1=gamma1, gamma2=gamma2)
     if model.p <= 0.5:
         raise ValueError("variance formula requires p > 1/2")

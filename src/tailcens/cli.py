@@ -491,8 +491,7 @@ def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise CliError("--threads must be >= 1")
     values = parse_sweep_config(args.config)
-    replicates = 2000 if args.full_scale else args.replicates
-    spec = build_sweep_spec(values, replicates_override=replicates,
+    spec = build_sweep_spec(values, replicates_override=args.replicates,
                             seed_override=args.seed)
     result = run_sweep(spec, n_jobs=args.threads)
 
@@ -562,7 +561,7 @@ def _emit_svg(path: str, spec: SweepSpec, by_cell: dict, which: int) -> None:
 
 
 def cmd_constants(args) -> int:
-    if args.alpha <= 0:
+    if not args.alpha > 0:  # written so that NaN fails it
         raise CliError("constants requires alpha > 0")
     if not 0 < args.p < 1:
         raise CliError("p must lie in (0, 1)")
@@ -634,8 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--output-dir", default=".")
     swp.add_argument("--replicates", type=int, default=None,
                      help="override config replicate count")
-    swp.add_argument("--full-scale", action="store_true",
-                     help="run 2000 replicates regardless of config")
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--threads", type=int, default=1,
                      help="worker processes, capped at the usable CPUs; "

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .empirical import _stacked_weights, kaplan_meier_survival, mdpd_weights
-from .sample_model import OrderedSample, TailConfig, top_log_excesses
+from .sample_model import OrderedSample, TailConfig, _check_alpha, top_log_excesses
 
 # grid rows that _local_roots scans around the MNS reference: first NARROW_ROWS,
 # then LOCAL_ROWS where the narrow rows hold no root they could prove nearest
@@ -333,6 +333,7 @@ class MdpdWindow:
     def estimate(self, alpha: float,
                  options: SolverOptions = SolverOptions()) -> EstimateResult:
         """MDPD estimate at tuning parameter alpha >= 0; see :func:`mdpd_estimate`."""
+        _check_alpha(alpha)
         k = self.k
         if alpha == 0.0:
             value = self.reference

@@ -64,8 +64,7 @@ class TailConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k={self.k} must be >= 1")
-        if self.alpha < 0:
-            raise ValueError(f"alpha={self.alpha} must be >= 0")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,11 @@ class ModelParams:
     eta: float = 0.25
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("gamma1 and gamma2 must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        # written so that NaN fails them
+        if not (0 < self.gamma1 < np.inf and 0 < self.gamma2 < np.inf):
+            raise ValueError("gamma1 and gamma2 must be positive and finite")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
 
     @property
     def p(self) -> float:
@@ -99,6 +99,12 @@ class ModelParams:
     def gamma(self) -> float:
         """Tail index of the observed minimum Z."""
         return self.gamma1 * self.gamma2 / (self.gamma1 + self.gamma2)
+
+
+def _check_alpha(alpha: float) -> None:
+    """The rule of an MDPD tuning parameter; NaN fails it."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha={alpha} must be finite and >= 0")
 
 
 def _check_shapes(z: np.ndarray, d: np.ndarray) -> None:
@@ -121,10 +127,14 @@ def _top_slice(z: np.ndarray, m: int) -> np.ndarray:
     """Indices of the m largest times of each row of z in increasing order, shape (R, m).
 
     Equal to ``np.argsort(z, axis=1, kind="stable")[:, -m:]`` for rows
-    without NaN: a partition finds each row's cut, the times above it are
-    kept, and of the times tied at the cut the highest indices, as the
-    stable order ranks them last; only that slice is sorted, stably.
+    without NaN.  Where m is at least the row length that is what is
+    computed, since a partition would only add to the sort.  Otherwise a
+    partition finds each row's cut, the times above it are kept, and of the
+    times tied at the cut the highest indices, as the stable order ranks
+    them last; only that slice is sorted, stably.
     """
+    if m >= z.shape[1]:
+        return np.argsort(z, axis=1, kind="stable")
     # an index list copies the cut out, so the partitioned copy of z is freed at once
     cut = np.partition(z, z.shape[1] - m, axis=1)[:, [-m]]
     keep = z > cut
@@ -149,60 +159,31 @@ def ordered_from_arrays(z: Sequence[float], delta: Sequence[int],
     """Build an OrderedSample from parallel arrays of times and indicators.
 
     The order is stable: tied times keep their input order, and the
-    permutation is that of ``np.argsort(z, kind="stable")``.  It is not
-    computed by a stable sort, which for float64 is a timsort, but by the
-    default sort followed by a sort of integer keys that restores input
-    order inside each run of equal times.  Each temporary is dropped once
-    used, so besides the input at most two n-long 8-byte arrays and one
-    mask are alive at once.  The sample contract is checked by
-    :class:`OrderedSample`; only the shapes are checked here, because
-    indexing a longer delta with the sort order would silently drop its
-    extra entries.
+    permutation is that of ``np.argsort(z, kind="stable")``, or its last
+    ``top`` entries (:func:`_top_slice`).  Every time and indicator of the
+    input is checked first, with the messages of :class:`OrderedSample`;
+    the shapes are checked before that, because indexing a longer delta
+    with the order would silently drop its extra entries.
 
     With ``1 <= top < n`` the sample holds only the ``top`` largest
     observations, the last ``top`` entries of the full sample, and only
-    they are sorted (:func:`_top_slice`); every time and indicator of the
-    input is still checked first, with the messages of the full path.  An
-    estimator that reads the top k + 1 order statistics, k < top, gives
-    the bits it gives on the full sample: the Kaplan-Meier factors
-    (n-i)/(n-i+1) count the observations above each one, which the slice
-    keeps.  But ``kaplan_meier_survival`` of a sliced sample is the
-    survival conditional on exceeding the n - top observations left out,
-    not the survival itself.  A ``top`` of n or more gives the full sample.
+    they are sorted.  An estimator that reads the top k + 1 order
+    statistics, k < top, gives the bits it gives on the full sample: the
+    Kaplan-Meier factors (n-i)/(n-i+1) count the observations above each
+    one, which the slice keeps.  But ``kaplan_meier_survival`` of a sliced
+    sample is the survival conditional on exceeding the n - top
+    observations left out, not the survival itself.  A ``top`` of n or more,
+    or none, gives the full sample.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(delta)
     _check_shapes(z, d)
     if top is not None and top < 1:
         raise ValueError(f"top={top} must be >= 1")
-    if top is not None and top < z.size:
-        _check_times(z)
-        _check_deltas(d)
-        idx = _top_slice(z[None], top)[0]
-        return OrderedSample(z[idx], d[idx])
-    n = z.size
-    idx = np.argsort(z)
-    zs = z[idx]
-    new_run = zs[1:] != zs[:-1]
-    del zs
-    # key[i] first numbers the run of equal times that sorted position i is
-    # in; int64, since numpy 1.x on Windows would sum the booleans as int32.
-    # The sum runs in place: a cumsum from bool to int64 would first copy
-    # its whole input to int64
-    key = np.zeros(n, dtype=np.int64)
-    key[1:] = new_run
-    del new_run
-    np.cumsum(key, out=key)
-    # then run * n + position, in place: sorted, the positions inside each
-    # run come out increasing, and % n recovers them
-    key *= n
-    key += idx
-    del idx
-    key.sort()
-    key %= n
-    z, d = z[key], d[key]
-    del key  # before the checks of OrderedSample, which take a few n-long masks
-    return OrderedSample(z, d)
+    _check_times(z)
+    _check_deltas(d)
+    idx = _top_slice(z[None], z.size if top is None else min(top, z.size))[0]
+    return OrderedSample(z[idx], d[idx])
 
 
 def top_log_excesses(sample: OrderedSample, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +197,6 @@ def top_log_excesses(sample: OrderedSample, k: int) -> tuple[np.ndarray, np.ndar
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range for sample size n={n}")
     threshold = sample.z_sorted[n - k - 1]
-    if threshold <= 0:
-        raise ValueError("zero threshold")
     top = sample.z_sorted[n - k:][::-1]
     deltas = sample.delta_concomitant[n - k:][::-1].copy()
     return np.log(top / threshold), deltas

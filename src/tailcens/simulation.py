@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .estimators import LOCAL_ROWS, _solve_windows
-from .sample_model import InvalidSampleError, ModelParams, _check_times, _top_slice
+from .sample_model import (InvalidSampleError, ModelParams, _check_alpha, _check_times,
+                           _top_slice)
 
 # Bytes that the float64 arrays of one block of replicates, which are
 # drawn and solved together, may take: per replicate, the local scans of
@@ -93,8 +94,8 @@ class ContaminationSpec:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon={self.epsilon} must lie in [0, 1)")
-        if self.theta1 <= 0:
-            raise ValueError("theta1 must be positive")
+        if not 0 < self.theta1 < np.inf:
+            raise ValueError("theta1 must be positive and finite")
 
 
 def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -117,25 +118,23 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
     Row r comes from the stream rngs[r] alone: its uniforms are drawn in
     the order u_mix, u_x, u_c, each n long, so a row does not depend on the
     rows drawn with it.  Besides the contamination mask, delta and the
-    buffer that holds u_x, then x, then z, only one chunk of _DRAW_CHUNK
-    columns is alive at a time: x is evaluated a chunk at a time (the
-    contaminant quantile on the contaminated entries only), and each
-    chunk's censoring times are drawn and folded into z and delta at once.
-    Both quantiles are elementwise, so the chunking does not change a bit.
+    buffer that holds u_x, then z, only one chunk of _DRAW_CHUNK columns is
+    alive at a time: in each chunk x is evaluated (the contaminant quantile
+    on the contaminated entries only), the censoring times are drawn, and
+    both are folded into z and delta.  Both quantiles are elementwise, so
+    the chunking does not change a bit.
     Raises InvalidSampleError where a censoring time underflows to 0, which
     only a p close to 1 gives.
     """
     contaminated = _uniforms(rngs, n) < contamination.epsilon
     z = _uniforms(rngs, n)
-    for lo in range(0, n, _DRAW_CHUNK):
-        u_x, bad = z[:, lo:lo + _DRAW_CHUNK], contaminated[:, lo:lo + _DRAW_CHUNK]
-        x = burr_quantile(u_x, model.gamma1, model.eta)
-        x[bad] = burr_quantile(u_x[bad], contamination.theta1, model.eta)
-        u_x[...] = x
-    del x
     delta = np.empty(z.shape, dtype=np.int8)
     for lo in range(0, n, _DRAW_CHUNK):
         x, bad = z[:, lo:lo + _DRAW_CHUNK], contaminated[:, lo:lo + _DRAW_CHUNK]
+        quantiles = burr_quantile(x, model.gamma1, model.eta)
+        quantiles[bad] = burr_quantile(x[bad], contamination.theta1, model.eta)
+        x[...] = quantiles  # x overwrites u_x in z, and its temporary is freed before u_c is drawn
+        del quantiles
         u_c = _uniforms(rngs, x.shape[1])
         # u_c = 0 has probability 0 but would hit the Frechet log; nudge off it
         c = frechet_quantile(np.maximum(u_c, np.finfo(float).tiny, out=u_c), model.gamma2)
@@ -193,8 +192,8 @@ class SweepSpec:
             raise ValueError("alphas must not be empty")
         if any(k >= self.n or k < 1 for k in self.k_grid):
             raise ValueError("every k must satisfy 1 <= k < n")
-        if any(a < 0 for a in self.alphas):
-            raise ValueError("alphas must be nonnegative")
+        for alpha in self.alphas:
+            _check_alpha(alpha)
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,22 @@ def test_mu_hand_values():
         mu(1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha, gamma1", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)])
+def test_constants_reject_non_finite_arguments(alpha, gamma1):
+    with pytest.raises(ValueError, match="finite"):
+        eta_star(alpha, gamma1)
+    with pytest.raises(ValueError, match="gamma1 and alpha must be positive and finite"):
+        mu(alpha, gamma1, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        sigma_squared(alpha, gamma1, 3.0)
+
+
+@pytest.mark.parametrize("tau1", [np.nan, -np.inf])
+def test_mu_rejects_a_non_finite_tau1(tau1):
+    with pytest.raises(ValueError, match="tau1 must be nonpositive and finite"):
+        mu(1.0, 1.0, tau1)
+
+
 def test_mu_against_mpmath_oracle():
     cases = [(0.3, 0.5, -0.5), (0.5, 0.3, -1.0), (1.0, 0.7, 0.0), (0.1, 1.2, -2.0)]
     for alpha, gamma1, tau1 in cases:

@@ -75,7 +75,7 @@ def test_estimate_negative_alpha_writes_nothing(tmp_path, capsys):
                              "--alpha", "0.5", "--alpha", "-1")
     assert code == 1
     assert out == ""
-    assert err.strip() == "error: alpha=-1.0 must be >= 0"
+    assert err.strip() == "error: alpha=-1.0 must be finite and >= 0"
 
 
 @pytest.mark.parametrize("step", ["0", "-1"])
@@ -230,7 +230,9 @@ def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
 @pytest.mark.parametrize("lines, message", [
     ("k_step = 0\n", "invalid config value: k_step must be >= 1"),
     ("k_min = 80\nk_max = 50\n", "k_grid must not be empty"),
-], ids=["k_step", "empty_k_range"])
+    # a NaN alpha is neither 0 nor > 0, so no solve would write its cells
+    ("alphas = 0,nan\n", "alpha=nan must be finite and >= 0"),
+], ids=["k_step", "empty_k_range", "alpha_nan"])
 def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n" + lines)
@@ -336,7 +338,7 @@ def test_constants_checks_tau1_before_the_variance(capsys, monkeypatch):
                              "--p", "0.6", "--tau1", "0.5")
     assert code == 1
     assert out == ""
-    assert err.strip() == "error: tau1 must be nonpositive"
+    assert err.strip() == "error: tau1 must be nonpositive and finite"
 
 
 def test_synth_roundtrips_through_reader(tmp_path, capsys):
@@ -419,6 +421,20 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
      "domain bounds must differ, got 1e-06 twice"),
     # checked before the ordering, whose top max(k) + 1 would be -2
     (["estimate", "DATA", "--k-min", "-3"], "k=-3 must be >= 1"),
+    # each check below is written so that NaN, which fails every comparison, fails it
+    (["estimate", "DATA", "--k-min", "1", "--alpha", "inf"], "alpha=inf must be finite and >= 0"),
+    (["constants", "--alpha", "nan", "--gamma1", "0.5", "--p", "0.8"],
+     "constants requires alpha > 0"),
+    (["constants", "--alpha", "0.5", "--gamma1", "nan", "--p", "0.8"],
+     "gamma1 and alpha must be positive and finite"),
+    (["constants", "--alpha", "0.5", "--gamma1", "0.5", "--p", "0.8", "--tau1", "nan"],
+     "tau1 must be nonpositive and finite"),
+    (["synth", "--n", "5", "--gamma1", "nan", "--p", "0.8"],
+     "gamma1 and gamma2 must be positive and finite"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.8", "--eta", "inf"],
+     "eta must be positive and finite"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.8", "--epsilon", "0.5", "--theta1", "nan"],
+     "theta1 must be positive and finite"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"

@@ -147,6 +147,13 @@ def test_residual_validation(toy):
         mdpd_residual(-1.0, toy, TailConfig(k=2, alpha=0.1))
 
 
+@pytest.mark.parametrize("alpha", [-0.5, np.nan, np.inf])
+def test_window_estimate_checks_alpha_as_tail_config_does(toy, alpha):
+    # a negative alpha has roots too, which would be reported as MDPD estimates
+    with pytest.raises(ValueError, match=f"alpha={alpha} must be finite and >= 0"):
+        MdpdWindow(toy, 2).estimate(alpha)
+
+
 def test_mdpd_alpha0_is_mns_bitwise(toy):
     result = mdpd_estimate(toy, TailConfig(k=2, alpha=0.0))
     assert result.method == "MNS"

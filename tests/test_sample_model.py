@@ -88,6 +88,8 @@ def test_order_sample_empty():
         order_sample(([], []))
     with pytest.raises(InvalidSampleError, match="empty sample"):
         ordered_from_arrays([], [])
+    with pytest.raises(InvalidSampleError, match="empty sample"):
+        ordered_from_arrays([], [], top=3)
 
 
 def test_ordered_from_arrays_invalid():
@@ -257,3 +259,20 @@ def test_log_excesses_nonincreasing_nonnegative(zs, data):
     log_exc, _ = top_log_excesses(s, k)
     assert np.all(log_exc >= 0)
     assert np.all(np.diff(log_exc) <= 1e-12)
+
+
+POSITIVE_FINITE = "gamma1 and gamma2 must be positive and finite"
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (TailConfig, dict(k=5, alpha=np.nan), "alpha=nan must be finite and >= 0"),
+    (TailConfig, dict(k=5, alpha=np.inf), "alpha=inf must be finite and >= 0"),
+    (ModelParams, dict(gamma1=np.nan, gamma2=1.0), POSITIVE_FINITE),
+    (ModelParams, dict(gamma1=1.0, gamma2=np.inf), POSITIVE_FINITE),
+    (ModelParams, dict(gamma1=1.0, gamma2=1.0, eta=np.nan), "eta must be positive and finite"),
+    (ModelParams, dict(gamma1=1.0, gamma2=1.0, eta=np.inf), "eta must be positive and finite"),
+], ids=["alpha-nan", "alpha-inf", "gamma1-nan", "gamma2-inf", "eta-nan", "eta-inf"])
+def test_non_finite_parameters_are_rejected(cls, kwargs, message):
+    # each check is written so that NaN, which fails every comparison, fails it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(**kwargs)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -229,6 +230,18 @@ def test_spec_validation():
         make_spec(k_grid=())
     with pytest.raises(ValueError, match="alphas must not be empty"):
         make_spec(alphas=())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ContaminationSpec(epsilon=0.5, theta1=np.nan), "theta1 must be positive and finite"),
+    (lambda: ContaminationSpec(epsilon=0.5, theta1=np.inf), "theta1 must be positive and finite"),
+    # a NaN alpha is neither 0 nor > 0, so no solve would write its column
+    (lambda: make_spec(alphas=(0.0, np.nan)), "alpha=nan must be finite and >= 0"),
+    (lambda: make_spec(alphas=(0.1, np.inf)), "alpha=inf must be finite and >= 0"),
+], ids=["theta1-nan", "theta1-inf", "alphas-nan", "alphas-inf"])
+def test_non_finite_spec_parameters_are_rejected(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_sweep_single_replicate_identity():
