@@ -321,6 +321,29 @@ def test_cli_runs_without_scipy(tmp_path):
     assert len(lines) == 3 and lines[2] == "0"
 
 
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.confstr("CS_GNU_LIBC_VERSION")),
+                    reason="malloc_trim is glibc's")
+def test_each_dataset_command_hands_freed_heap_pages_back(tmp_path):
+    # every other one of 64 1 MiB arrays freed: the holes lie below live
+    # arrays, so glibc keeps their 32 MiB resident until the command (here
+    # one that fails at once) trims the heap
+    code = """if True:
+        import sys, numpy as np
+        from tailcens.cli import main
+        def rss_mb():
+            return int(open("/proc/self/statm").read().split()[1]) * 4096 / 2**20
+        np.ones(2**20)  # a freed 8 MiB block: glibc now serves 1 MiB ones from its heap
+        blocks = [np.ones(2**17) for _ in range(64)]
+        del blocks[::2]
+        held = rss_mb()
+        code = main(sys.argv[1:])
+        print(code, held - rss_mb())
+    """
+    out = run_python(code, "estimate", str(tmp_path / "missing.csv"), "--k-min", "1")
+    code, released = out.stdout.split()
+    assert code == "1" and float(released) > 24
+
+
 def test_constants_p_too_small(capsys):
     code, _, err = run_cli(capsys, "constants", "--alpha", "1", "--gamma1", "1",
                            "--p", "0.5")
