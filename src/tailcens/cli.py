@@ -635,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override config replicate count")
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--threads", type=int, default=1,
-                     help="worker processes, capped at the usable CPUs; "
+                     help="processes, this one included, capped at the usable CPUs; "
                           "output is identical for any count")
     swp.add_argument("--emit-svg", action="store_true")
     swp.set_defaults(func=cmd_sweep)

@@ -17,7 +17,6 @@ byte-identical regardless of execution order or worker count.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -201,7 +200,7 @@ class SweepResult:
     """Per-(k, alpha) absolute bias and MSE with failure counts."""
 
     rows: tuple[tuple, ...]  # (k, alpha, abs_bias, mse, n_failures)
-    workers: int = 1  # worker processes actually used
+    workers: int = 1  # processes that solved replicates, the caller included
 
 
 def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
@@ -228,8 +227,8 @@ def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
 
     The replicates are drawn and solved in consecutive blocks, each as
     many replicates as BLOCK_BYTES holds (one at least), so the memory of a
-    range does not grow with its length; a pooled sweep hands each worker
-    one such range.  A block's values do not depend on the replicates
+    range does not grow with its length; each process of a pooled sweep
+    solves one such range.  A block's values do not depend on the replicates
     solved with it (see :func:`_block_estimates`).
     """
     cells = sum(a > 0 for a in spec.alphas)
@@ -246,34 +245,65 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _process_pool(workers: int):
-    """A ``ProcessPoolExecutor`` of ``workers`` processes, joined on exit.
+def _send_range(conn, spec: SweepSpec, start: int, stop: int) -> None:
+    """A sweep worker: send ``_replicate_range(spec, start, stop)`` over conn, or its exception."""
+    try:
+        result = _replicate_range(spec, start, stop)
+    except Exception as exc:  # raised again by the caller
+        result = exc
+    conn.send(result)
 
-    The workers are forked where the platform can fork, and started by its
-    default method otherwise.  ``numpy.random`` is imported here, before
-    any worker starts, so that forked workers inherit it rather than each
-    import it again.  Yields None, for the caller to run its work inline,
-    where one worker is asked for or where this process is a daemon (which
-    may not start children).
+
+def _replicate_ranges(spec: SweepSpec, bounds: Sequence[int]) -> np.ndarray:
+    """Estimates of replicates bounds[0]..bounds[-1]-1, one range per process.
+
+    This process solves the range bounds[0]..bounds[1]-1 itself, and one
+    started process each later range, which it sends back over a one-way
+    pipe; the ranges are concatenated in replicate order.  The processes
+    are forked where the platform can fork, and spawned otherwise.
+    ``numpy.random`` is imported before any is started, so that forked
+    workers inherit it rather than each import it again.  An exception
+    that a worker raises is raised here again, with its type and message; a
+    worker that exits without sending its range raises RuntimeError.  If
+    any range fails, the workers still running are terminated.  Every
+    worker is joined before this returns.
     """
-    if workers > 1:
-        # imported here, so that only pooled work pays for the import
-        import multiprocessing
+    import multiprocessing
 
-        if not multiprocessing.current_process().daemon:
-            from concurrent.futures import ProcessPoolExecutor
+    import numpy.random  # noqa: F401  (inherited by forked workers)
 
-            import numpy.random  # noqa: F401  (inherited by forked workers)
-
-            can_fork = "fork" in multiprocessing.get_all_start_methods()
-            # fork: workers inherit the imported modules; a fresh interpreter
-            # per worker would spend ~0.25 s importing numpy and tailcens again
-            context = multiprocessing.get_context("fork" if can_fork else None)
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                yield pool
-            return
-    yield None
+    # fork: workers inherit the imported modules; a fresh interpreter per
+    # worker would spend ~0.25 s importing numpy and tailcens again
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+    workers = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_send_range, args=(sender, spec, start, stop))
+            process.start()
+            workers.append((process, receiver))
+            sender.close()  # so that the receiver sees EOF once the worker exits
+        ranges = [_replicate_range(spec, bounds[0], bounds[1])]
+        for process, receiver in workers:
+            try:
+                result = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"a sweep worker exited with code {process.exitcode} "
+                                   "before sending its replicates") from None
+            if isinstance(result, Exception):
+                raise result
+            ranges.append(result)
+    except BaseException:
+        for process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in workers:
+            process.join()
+            receiver.close()
+    return np.concatenate(ranges)
 
 
 def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
@@ -281,9 +311,10 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
 
     Failures (no root) are excluded from the moments and counted; a cell
     where every replicate failed is reported with NaN metrics.  Replicates
-    run in min(n_jobs, usable CPUs, replicates) worker processes, or in
-    this process where it is a daemon, each worker on one contiguous range
-    of replicates; the ranges are concatenated in replicate order, so the
+    run in min(n_jobs, usable CPUs, replicates) processes, this one
+    included, or in this process alone where it is a daemon; each process
+    solves one contiguous range of replicates, and the ranges are
+    concatenated in replicate order (:func:`_replicate_ranges`), so the
     result does not depend on n_jobs or scheduling.  A range is solved in
     blocks of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A
     block is drawn as one (z, delta) pair of arrays, without its latent
@@ -298,14 +329,17 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")
     workers = min(n_jobs, _usable_cpus(), spec.replicates)
-    with _process_pool(workers) as pool:
-        if pool is None:
+    if workers > 1:
+        # imported here, so that only pooled work pays for the import
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:  # a daemon may not start children
             workers = 1
-            stacked = _replicate_range(spec, 0, spec.replicates)
-        else:
-            bounds = [spec.replicates * i // workers for i in range(workers + 1)]
-            stacked = np.concatenate(list(pool.map(
-                _replicate_range, [spec] * workers, bounds[:-1], bounds[1:])))
+    if workers == 1:
+        stacked = _replicate_range(spec, 0, spec.replicates)
+    else:
+        stacked = _replicate_ranges(
+            spec, [spec.replicates * i // workers for i in range(workers + 1)])
 
     rows = []
     with np.errstate(invalid="ignore"):

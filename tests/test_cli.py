@@ -1,4 +1,5 @@
 import errno
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailcens import cli, ordered_from_arrays
+from tailcens import cli, ordered_from_arrays, simulation
 from tailcens.cli import (DEFAULT_OUTLIER_TABLE, CliError, main,
                           parse_sweep_config, read_dataset)
 
@@ -205,8 +206,9 @@ seed = 0
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "golden" / "seed0" / "sweep.csv"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_readme_sweep_is_the_golden_sweep(tmp_path, capsys, threads):
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_readme_sweep_is_the_golden_sweep(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(README_SWEEP)
     code, _, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(tmp_path / "o"),
@@ -579,17 +581,49 @@ def test_synth_where_a_censoring_time_underflows_names_p(tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["1", "2", "3"])
-def test_sweep_where_a_censoring_time_underflows_names_p(tmp_path, capsys, seed):
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed", ["1", "2", "3", "5"])
+def test_sweep_where_a_censoring_time_underflows_names_p(tmp_path, capsys, monkeypatch, seed,
+                                                         threads):
+    # replicate 0 underflows at seeds 1, 2 and 3, replicate 1 at seeds 1, 2
+    # and 5: at --threads 2 the worker, which solves replicate 1, raises
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 200000\ngamma1 = 0.3\np = 0.999\nreplicates = 1\n"
+    cfg.write_text("n = 200000\ngamma1 = 0.3\np = 0.999\nreplicates = 2\n"
                    "alphas = 0.5\nk_min = 100\nk_max = 100\n")
     out = tmp_path / "o"
     code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out),
-                                "--seed", seed)
+                                "--seed", seed, "--threads", threads)
     assert code == 1
     assert err.strip() == UNDERFLOW_ERROR
     assert stdout == "" and not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the worker is forked to inherit the patched range")
+def test_sweep_worker_that_exits_without_its_range_is_an_internal_error(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    caller, replicate_range = os.getpid(), simulation._replicate_range
+
+    def exiting_worker(spec, start, stop):
+        if os.getpid() != caller:
+            os._exit(3)
+        return replicate_range(spec, start, stop)
+
+    monkeypatch.setattr(simulation, "_replicate_range", exiting_worker)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 2\nk_min = 10\n"
+                   "k_max = 10\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out),
+                                "--threads", "2")
+    assert code == 2
+    assert err.strip() == ("internal error: a sweep worker exited with code 3 "
+                           "before sending its replicates")
+    assert stdout == ""
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_sweep_write_leaves_no_file(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -468,11 +470,15 @@ def test_sweep_jensen():
         assert mse >= abs_bias ** 2 - 1e-12
 
 
-def test_sweep_deterministic_across_threads():
+def test_sweep_deterministic_across_threads(monkeypatch):
+    # three processes, however many CPUs this machine has
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
     spec = make_spec(replicates=12)
     serial = run_sweep(spec, n_jobs=1)
     parallel = run_sweep(spec, n_jobs=3)
+    assert parallel.workers == 3
     assert serial.rows == parallel.rows
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
@@ -486,19 +492,22 @@ def test_sweep_pooled_uses_two_workers_and_matches_serial():
 
 WARM_WORKER = """
 import sys
-from tailcens.simulation import _process_pool
+import numpy as np
+from tailcens import simulation
 
-def numpy_random_imported():
-    return "numpy.random" in sys.modules
+def numpy_random_imported(spec, start, stop):
+    return np.full(stop - start, "numpy.random" in sys.modules)
 
-with _process_pool(2) as pool:
-    print(pool.submit(numpy_random_imported).result())
+simulation._replicate_range = numpy_random_imported
+assert "numpy.random" not in sys.modules
+print(simulation._replicate_ranges(None, [0, 1, 2])[1])
 """
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
-def test_pool_workers_start_with_numpy_random_imported():
-    # the parent imports it before the workers start, so a forked worker
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="a spawned worker imports its modules afresh")
+def test_forked_workers_start_with_numpy_random_imported():
+    # the caller imports it before the workers start, so a forked worker
     # does not import it again on every sweep
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(simulation.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
@@ -508,13 +517,47 @@ def test_pool_workers_start_with_numpy_random_imported():
 
 
 def test_sweep_pools_where_the_platform_cannot_fork(monkeypatch):
-    # without fork the sweep still pools, by the default start method
+    # without fork the sweep still pools, by spawning its worker
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    get_context, methods = multiprocessing.get_context, []
+
+    def recorded(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recorded)
     spec = make_spec(replicates=4)
     pooled = run_sweep(spec, n_jobs=2)
+    assert methods == ["spawn"]
     assert pooled.workers == 2
     assert pooled.rows == run_sweep(spec, n_jobs=1).rows
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the workers are forked to inherit the patched range")
+def test_a_failing_caller_range_terminates_its_workers(monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+    caller, started = os.getpid(), []
+
+    def failing_range(spec, start, stop):
+        if os.getpid() == caller:
+            raise RuntimeError("the caller's range failed")
+        time.sleep(60)  # a worker still solving its range
+
+    start = multiprocessing.process.BaseProcess.start
+
+    def recorded_start(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(simulation, "_replicate_range", failing_range)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recorded_start)
+    with pytest.raises(RuntimeError, match="the caller's range failed"):
+        run_sweep(make_spec(replicates=6), n_jobs=3)
+    assert [process.exitcode for process in started] == [-signal.SIGTERM] * 2
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
