@@ -563,11 +563,8 @@ def _emit_svg(path: str, spec: SweepSpec, by_cell: dict, which: int) -> None:
 def cmd_constants(args) -> int:
     if not args.alpha > 0:  # written so that NaN fails it
         raise CliError("constants requires alpha > 0")
-    if not 0 < args.p < 1:
-        raise CliError("p must lie in (0, 1)")
-    if args.p <= 0.5:
-        raise CliError("variance formula requires p > 1/2")
-    # mu and sigma_squared check the remaining arguments before the MC runs
+    # gamma2_from_p, mu and sigma_squared check the remaining arguments,
+    # p included, before the MC runs
     with _argument_errors():
         gamma2 = gamma2_from_p(args.gamma1, args.p)
         config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)

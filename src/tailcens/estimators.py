@@ -240,22 +240,22 @@ def mns_estimator(sample: OrderedSample, k: int) -> float:
     return float(np.dot(weights, log_exc))
 
 
-def _stacked_residuals(alpha, g: np.ndarray, log_exc: np.ndarray, weights: np.ndarray,
-                       weighted_neg_log: np.ndarray) -> np.ndarray:
+def _stacked_residuals(alpha, g: np.ndarray, log_exc: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
     """Residuals of m windows, each at its own points: shape (m, r) from g of shape (m, r).
 
-    Row j of the (m, k) arrays log_exc, weights and weighted_neg_log is one
-    window, and alpha broadcasts against g.  Each value is reduced as its
-    own one-row product, ``(1, k) @ (k, 1)``, as in :meth:`MdpdWindow.residual`,
-    so it has that method's bits whatever other rows are computed with it;
+    Row j of the (m, k) arrays log_exc and weights is one window, and alpha
+    broadcasts against g.  Each value is reduced as its own one-row
+    product, ``(1, k) @ (k, 1)``, as in :meth:`MdpdWindow.residual`, so it
+    has that method's bits whatever other rows are computed with it;
     ``einsum`` or a row sum would not.
     """
     # powers[j, p, i] = r_i^{expo_jp} = exp(expo_jp * L_ji), in place
     powers = (-alpha * (1.0 + 1.0 / g))[:, :, None] * log_exc[:, None, :]
     np.exp(powers, out=powers)
     rows = powers[:, :, None, :]
-    empirical = ((rows @ weighted_neg_log[:, None, :, None])[..., 0, 0]
-                 + (rows @ weights[:, None, :, None])[..., 0, 0] * g)
+    empirical = ((rows @ weights[:, None, :, None])[..., 0, 0] * g
+                 - (rows @ (weights * log_exc)[:, None, :, None])[..., 0, 0])
     d = 1.0 + alpha + alpha * g
     return empirical - alpha * g * (g + 1.0) / (d * d)
 
@@ -264,10 +264,9 @@ class MdpdWindow:
     """The top-k window of one sample, shared by the MDPD solves at every alpha.
 
     Holds what the estimating equation needs that does not depend on alpha,
-    each computed on first use: the weights a_ik, the log-excesses L_i, the
-    products a_ik * -L_i and the MNS reference.  Each residual is reduced as
-    its own one-row product, so its bits do not depend on the rows computed
-    with it.
+    each computed on first use: the weights a_ik, the log-excesses L_i and
+    the MNS reference.  Each residual is reduced as its own one-row
+    product, so its bits do not depend on the rows computed with it.
     """
 
     def __init__(self, sample: OrderedSample, k: int):
@@ -285,18 +284,14 @@ class MdpdWindow:
         return top_log_excesses(self.sample, self.k)[0]
 
     @cached_property
-    def _weighted_neg_log(self) -> np.ndarray:
-        return self.weights * -self.log_exc
-
-    @cached_property
     def reference(self) -> float:
         """MNS estimate of the window, which is also its alpha = 0 estimate."""
         return mns_estimator(self.sample, self.k)
 
     def _residuals(self, g: np.ndarray, alpha: float) -> np.ndarray:
         """Residual at each gamma1 of the 1-d array g."""
-        return _stacked_residuals(alpha, g[None, :], self.log_exc[None, :], self.weights[None, :],
-                                  self._weighted_neg_log[None, :])[0]
+        return _stacked_residuals(alpha, g[None, :], self.log_exc[None, :],
+                                  self.weights[None, :])[0]
 
     def residual(self, gamma1: float, alpha: float) -> float:
         """Residual of the estimating equation at one gamma1: :meth:`_residuals` at one point."""
@@ -471,21 +466,20 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def _stacked_windows(tops: np.ndarray, deltas: np.ndarray,
-                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The top-k windows of R samples: log-excesses, weights, weights * -log-excesses, MNS.
+                     k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top-k windows of R samples: log-excesses, weights and MNS references.
 
     Row r of the (R, m) arrays tops and deltas holds the m > k largest
     observations of sample r in increasing order and their indicators.
-    The first three results are (R, k) arrays, the references an (R,)
-    array; row r of each is bit-equal to what :class:`MdpdWindow` computes
-    for sample r (``log_exc``, ``weights``, ``_weighted_neg_log`` and
-    ``reference``).
+    The first two results are (R, k) arrays, the references an (R,) array;
+    row r of each is bit-equal to what :class:`MdpdWindow` computes for
+    sample r (``log_exc``, ``weights`` and ``reference``).
     """
     log_exc = np.log(tops[:, -k:][:, ::-1] / tops[:, -k - 1:-k])
     weights = _stacked_weights(deltas[:, -k:][:, ::-1])
     # one (1, k) @ (k, 1) product per row, which is np.dot's reduction
     reference = (weights[:, None, :] @ log_exc[:, :, None])[:, 0, 0]
-    return log_exc, weights, weights * -log_exc, reference
+    return log_exc, weights, reference
 
 
 def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.ndarray:
@@ -514,18 +508,17 @@ def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.n
         out = np.empty(g.shape)
         if isinstance(cells, slice):  # every cell: a window's cells make one row, not a copy
             row_alphas = np.repeat(cell_alphas, g.shape[1])
-            for (log_exc, weights, weighted_neg_log, _), lo, hi in zip(windows, firsts, firsts[1:]):
+            for (log_exc, weights, _), lo, hi in zip(windows, firsts, firsts[1:]):
                 out[lo:hi] = _stacked_residuals(row_alphas, g[lo:hi].reshape(size, -1), log_exc,
-                                                weights, weighted_neg_log).reshape(-1, g.shape[1])
+                                                weights).reshape(-1, g.shape[1])
             return out
         # cells is nondecreasing, so each k's cells are one slice of it
         bounds = np.searchsorted(cells, firsts)
-        for (log_exc, weights, weighted_neg_log, _), first, lo, hi in zip(
-                windows, firsts, bounds, bounds[1:]):
+        for (log_exc, weights, _), first, lo, hi in zip(windows, firsts, bounds, bounds[1:]):
             if lo < hi:
                 w, a = np.divmod(cells[lo:hi] - first, cells_per_window)
                 out[lo:hi] = _stacked_residuals(cell_alphas[a][:, None], g[lo:hi], log_exc[w],
-                                                weights[w], weighted_neg_log[w])
+                                                weights[w])
         return out
 
     references = np.stack([reference for *_, reference in windows], axis=1)

@@ -31,7 +31,7 @@ from .sample_model import (InvalidSampleError, ModelParams, _check_alpha, _check
 # its cells at alpha > 0 (LOCAL_ROWS x largest k each, which bounds the
 # narrow scan of every cell, and the wider scan and the full-grid scan,
 # LOCAL_ROWS - NARROW_ROWS rows at a time, of the cells that need them),
-# its largest observations, three n-long draw arrays and the three arrays
+# its largest observations, three n-long draw arrays and the two arrays
 # of each k's window.
 BLOCK_BYTES = 3 << 20
 
@@ -233,7 +233,7 @@ def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     """
     cells = sum(a > 0 for a in spec.alphas)
     per_replicate = 8 * (max(spec.k_grid) * (LOCAL_ROWS * cells + 1) + 3 * spec.n
-                         + 3 * sum(spec.k_grid))
+                         + 2 * sum(spec.k_grid))
     size = max(1, BLOCK_BYTES // per_replicate)
     return np.concatenate([_block_estimates(spec, range(lo, min(lo + size, stop)))
                            for lo in range(start, stop, size)])

@@ -1,6 +1,7 @@
-"""The package's public names, and the fields of its model objects."""
+"""The package's public names, the fields of its model objects and their argument checks."""
 
 import dataclasses
+import re
 import types
 
 import pytest
@@ -28,3 +29,23 @@ def test_removed_name_is_not_an_attribute_of_the_package(name):
 ])
 def test_each_model_parameter_is_stored_once(cls, names):
     assert [field.name for field in dataclasses.fields(cls)] == names
+
+
+THREE = tailcens.ordered_from_arrays([1.0, 2.0, 4.0], [1, 1, 1])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: tailcens.worms_estimator(THREE, 3), "k=3 out of range for sample size n=3"),
+    (lambda: tailcens.mdpd_weights(THREE, 3), "k=3 out of range for sample size n=3"),
+    (lambda: tailcens.sample_contaminated_censored(
+        0, tailcens.ModelParams(gamma1=0.3, gamma2=0.7), tailcens.ContaminationSpec(), seed=0),
+     "n must be >= 1"),
+    (lambda: tailcens.asymptotic_ci(0.5, alpha=0.5, k=0,
+                                    model=tailcens.ModelParams(gamma1=0.5, gamma2=1.5)),
+     "k must be >= 1"),
+    (lambda: tailcens.GaussianOracleConfig(grade=0.5), "grade must be >= 1"),
+], ids=["worms_estimator", "mdpd_weights", "sample_contaminated_censored", "asymptotic_ci",
+        "GaussianOracleConfig"])
+def test_public_argument_checks_raise_value_error(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -90,6 +90,15 @@ def test_estimate_k_step_must_be_positive(tmp_path, capsys, step):
     assert err.strip() == "error: --k-step must be >= 1"
 
 
+def test_estimate_writes_an_empty_row_where_no_root_meets_the_tolerance(tmp_path, capsys):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(float(v), 1) for v in (1 - np.random.default_rng(0).random(500)) ** -0.5])
+    code, out, err = run_cli(capsys, "estimate", str(f), "--k-min", "50", "--alpha", "0.5",
+                             "--tol", "5e-324")
+    assert (code, err) == (0, "")
+    assert out == "k,alpha,method,gamma1_hat,residual\n50,0.5,MDPD,,\n"
+
+
 def test_estimate_synthetic_pareto(tmp_path, capsys):
     rng = np.random.default_rng(1)
     z = (1 - rng.random(1000)) ** -0.5  # Pareto, gamma1 = 0.5
@@ -158,6 +167,18 @@ def test_contaminate_rejects_a_replacement_that_is_not_positive_and_finite(
     assert code == 1
     assert err.strip() == f"error: {table}: replacement at line 3 is not positive and finite"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("row", ["3,6,7", "3,six"], ids=["three_fields", "not_a_number"])
+def test_contaminate_rejects_a_malformed_table_row(tmp_path, capsys, row):
+    f = tmp_path / "d.csv"
+    write_toy(f, [(1.0, 1), (3.0, 1)])
+    table = tmp_path / "t.csv"
+    table.write_text(f"{row}\n")
+    code, out, err = run_cli(capsys, "contaminate", str(f), "--table", str(table))
+    assert code == 1
+    assert out == ""
+    assert err.strip() == f"error: {table}: malformed injection row at line 1"
 
 
 def test_contaminate_too_few_uncensored(tmp_path, capsys):
@@ -234,7 +255,10 @@ def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
     ("k_min = 80\nk_max = 50\n", "k_grid must not be empty"),
     # a NaN alpha is neither 0 nor > 0, so no solve would write its cells
     ("alphas = 0,nan\n", "alpha=nan must be finite and >= 0"),
-], ids=["k_step", "empty_k_range", "alpha_nan"])
+    ("n 1000\n", "invalid config line: 'n 1000'"),
+    # a later line for a key replaces the earlier one
+    ("n = abc\n", "invalid config value: invalid literal for int() with base 10: 'abc'"),
+], ids=["k_step", "empty_k_range", "alpha_nan", "no_equals_sign", "n_not_an_int"])
 def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n" + lines)
@@ -243,6 +267,23 @@ def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     assert code == 1
     assert err.strip() == f"error: {message}"
     assert stdout == "" and not out.exists()
+
+
+def test_sweep_replicates_option_overrides_the_config(tmp_path, capsys):
+    base = ("n = 100\ngamma1 = 0.3\np = 0.7\nalphas = 0,0.5\nk_min = 10\nk_max = 20\n"
+            "k_step = 10\nepsilon = 0.15\ntheta1 = 0.6\n")
+    configs = {"set": base + "replicates = 3\n", "overridden": base + "replicates = 7\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    assert run_cli(capsys, "sweep", str(tmp_path / "set.cfg"),
+                   "--output-dir", str(tmp_path / "set"))[0] == 0
+    assert run_cli(capsys, "sweep", str(tmp_path / "overridden.cfg"), "--replicates", "3",
+                   "--output-dir", str(tmp_path / "overridden"))[0] == 0
+    set_, overridden = tmp_path / "set", tmp_path / "overridden"
+    names = sorted(path.name for path in set_.iterdir())
+    assert sorted(path.name for path in overridden.iterdir()) == names
+    for name in names:
+        assert (overridden / name).read_bytes() == (set_ / name).read_bytes()
 
 
 def test_sweep_replicate_one_row_counts(tmp_path, capsys):
@@ -290,12 +331,26 @@ def test_constants_row(capsys):
     assert abs(vals["sigma2"] - vals["sigma2_mc"]) <= 3 * vals["mc_stderr"]
 
 
-def run_python(code, *argv):
+def python(*args, check=True):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=check)
+
+
+def run_python(code, *argv):
+    return python("-c", code, *argv)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7"], 0, ""),
+    (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "0.4"], 1,
+     "error: variance formula requires p > 1/2\n"),
+])
+def test_module_entry_point_passes_the_exit_code_through(argv, code, err):
+    done = python("-m", "tailcens.cli", *argv, check=False)
+    assert (done.returncode, done.stderr) == (code, err)
+    assert done.stdout.startswith("time,status\n") if code == 0 else done.stdout == ""
 
 
 def test_cli_import_loads_no_scipy():
@@ -444,6 +499,7 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
     (["estimate", "DATA", "--k-min", "1", "--tol", "inf"], "tol_abs=inf must be finite and > 0"),
     (["estimate", "DATA", "--k-min", "1", "--domain", "1e-6", "1e-6"],
      "domain bounds must differ, got 1e-06 twice"),
+    (["estimate", "DATA", "--k-min", "3", "--k-max", "2"], "empty k range"),
     # checked before the ordering, whose top max(k) + 1 would be -2
     (["estimate", "DATA", "--k-min", "-3"], "k=-3 must be >= 1"),
     # each check below is written so that NaN, which fails every comparison, fails it
@@ -452,6 +508,7 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
      "constants requires alpha > 0"),
     (["constants", "--alpha", "0.5", "--gamma1", "nan", "--p", "0.8"],
      "gamma1 and alpha must be positive and finite"),
+    (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "1.5"], "p=1.5 must lie in (0, 1)"),
     (["constants", "--alpha", "0.5", "--gamma1", "0.5", "--p", "0.8", "--tau1", "nan"],
      "tau1 must be nonpositive and finite"),
     (["synth", "--n", "5", "--gamma1", "nan", "--p", "0.8"],

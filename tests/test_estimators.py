@@ -192,6 +192,19 @@ def test_no_root_error_carries_grid():
     assert excinfo.value.residuals.shape == excinfo.value.grid.shape
 
 
+def test_no_root_meets_a_tolerance_below_every_residual():
+    # the window has sign changes, but no Brent root's residual is within
+    # the smallest positive double of 0
+    sample = ordered_from_arrays((1 - np.random.default_rng(0).random(500)) ** -0.5,
+                                 np.ones(500, dtype=int))
+    window = MdpdWindow(sample, 50)
+    options = SolverOptions(tol_abs=5e-324)
+    with pytest.raises(NoRootError, match="^no root met the residual tolerance$") as excinfo:
+        window.estimate(0.5, options)
+    assert excinfo.value.grid is options.grid
+    assert excinfo.value.residuals.tobytes() == window._residuals(options.grid, 0.5).tobytes()
+
+
 def test_alpha_to_zero_continuity():
     rng = np.random.default_rng(11)
     z = rng.pareto(2.0, 500) + 1
@@ -784,8 +797,7 @@ def test_stacked_windows_are_each_windows_arrays():
         for r, sample in enumerate(samples):
             window = MdpdWindow(sample, k)
             assert window.reference == mns_estimator(sample, k)
-            expected = (window.log_exc, mdpd_weights(sample, k), window._weighted_neg_log,
-                        window.reference)
+            expected = (window.log_exc, mdpd_weights(sample, k), window.reference)
             assert [a[r].tobytes() for a in stacked] == [np.asarray(e).tobytes()
                                                         for e in expected]
 
@@ -802,7 +814,7 @@ def test_stacked_residuals_are_each_windows_residuals(k):
     alpha = rng.choice([0.1, 0.5, 1.0], (5, 1))
     stacked = estimators._stacked_residuals(
         alpha, g, *(np.stack([getattr(w, name) for w in windows])
-                    for name in ("log_exc", "weights", "_weighted_neg_log")))
+                    for name in ("log_exc", "weights")))
     expected = [[w.residual(x, a) for x in row] for w, row, (a,) in zip(windows, g, alpha)]
     assert stacked.tobytes() == np.array(expected).tobytes()
 

@@ -407,11 +407,11 @@ def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
     monkeypatch.setattr(simulation, "_block_estimates", recorded)
     whole = _replicate_range(spec, 3, 30)
     # 3 cells at alpha > 0 with 16 scanned rows of k <= 300, the 301 largest
-    # observations, three draw arrays of n = 1000 and three window arrays of
-    # each k, whose sum is 1050: 8 * (300 * 49 + 3000 + 3150) = 166 800
+    # observations, three draw arrays of n = 1000 and two window arrays of
+    # each k, whose sum is 1050: 8 * (300 * 49 + 3000 + 2100) = 158 400
     # bytes a replicate
-    assert sizes == [18, 9]
-    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 166_800 - 1)
+    assert sizes == [19, 8]
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 158_400 - 1)
     sizes.clear()
     assert _replicate_range(spec, 3, 30).tobytes() == whole.tobytes()
     assert sizes == [3] * 9
@@ -434,11 +434,11 @@ def traced_peak_mib(spec):
 
 def test_replicate_range_memory_is_bounded():
     # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB, which
-    # counts 16 scanned rows a cell; the sweep-eps40 spec peaked at 1.69 MiB
-    # (3.02 MiB when every cell scanned 16 rows), in blocks of 18 replicates
+    # counts 16 scanned rows a cell; the sweep-eps40 spec peaked at 1.63 MiB
+    # (3.06 MiB when every cell scanned 16 rows), in blocks of 19 replicates
     assert traced_peak_mib(make_spec(**SWEEP_EPS40, replicates=200)) <= 4.0
     # at k = 5000 a block is one replicate, whose three 16-row scans would
-    # take 1.83 MiB; it peaked at 1.16 MiB (2.42 MiB with 16-row scans),
+    # take 1.83 MiB; it peaked at 1.13 MiB (2.28 MiB with 16-row scans),
     # against 1.42 MiB for the cell-by-cell solve that the block solve replaced
     big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
                     replicates=4)
@@ -448,7 +448,7 @@ def test_replicate_range_memory_is_bounded():
 def test_replicate_range_memory_is_bounded_when_every_cell_scans_the_full_grid(monkeypatch):
     # with every observation censored, every window's weights are 0, so no
     # cell has a root and each scans the whole grid, ten rows at a time: the
-    # sweep-eps40 spec then peaks at 3.04 MiB (2.65 MiB when such cells were
+    # sweep-eps40 spec then peaks at 2.96 MiB (2.65 MiB when such cells were
     # solved one by one), within the bound above
     draw = simulation._draw_arrays
 
@@ -571,11 +571,24 @@ def test_sweep_in_a_daemon_process_runs_inline(monkeypatch):
     def sweep():
         result = run_sweep(spec, n_jobs=2)
         assert (result.workers, result.rows) == (1, serial.rows)
+        assert multiprocessing.active_children() == []
 
     child = multiprocessing.get_context("fork").Process(target=sweep, daemon=True)
     child.start()
     child.join()
     assert child.exitcode == 0
+
+
+def test_sweep_in_a_process_marked_daemon_starts_no_worker(monkeypatch):
+    # the same check in this process: a worker started from a daemon
+    # would fail its start with "daemonic processes are not allowed to have children"
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    spec = make_spec(replicates=4)
+    serial = run_sweep(spec, n_jobs=1)
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    result = run_sweep(spec, n_jobs=2)
+    assert (result.workers, result.rows) == (1, serial.rows)
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_workers_capped_and_validated():
