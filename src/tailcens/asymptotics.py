@@ -16,6 +16,7 @@ reported rather than returning a spurious number.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -169,6 +170,21 @@ class GaussianOracleConfig:
             raise ValueError("replicates must be >= 1000")
         if self.grade < 1.0:
             raise ValueError("grade must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+# cells of the Monte Carlo grid evaluated together: the (chunk, 8) node
+# arrays of one chunk, 128 KiB each, stay in cache while psi is built
+_GRID_CHUNK = 2048
+
+
+@functools.cache
+def _gauss_legendre_8() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of 8-point Gauss-Legendre on [-1, 1], built on first use."""
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
@@ -177,27 +193,55 @@ def _g_on_grid(alpha: float, gamma1: float, model: ModelParams,
 
     The grid is s_j = (j/M)^grade on [0, 1]; G_m(s) = int_1^(s^-gamma)
     psi_m(x) dx is built cell by cell in x = s^-gamma with 8-point
-    Gauss-Legendre, from the power-log term lists evaluated as
-    sum c * exp(e*log x) * (log x)^m.  Returns (ds, G1, G2, a) with the
-    cell widths ds and a = _phi_star(1).
+    Gauss-Legendre.  The cells are evaluated _GRID_CHUNK at a time, in
+    buffers that every chunk reuses: each distinct exponent e of the
+    power-log term lists gets one x^e = exp(e*log x) over the chunk's
+    nodes, shared by the terms of psi1 and psi2 that carry it, and each psi
+    sums its terms from 0 in list order as c*x^e or (c*x^e)*log x.  So
+    every value has the bits of the term-by-term sum over the whole grid.
+    Each cell's integral goes into one (2, M) array, summed from x = 1
+    upwards by one cumulative sum.  Memory is O(M + chunk).  Returns
+    (ds, G1, G2, a) with the cell widths ds and a = _phi_star(1).
     """
-    psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
+    psi_terms = _psi_term_lists(alpha, gamma1, model)
+    exponents = {e for terms in psi_terms for _, e, _ in terms}
     m = config.grid_points
     s = (np.arange(m + 1) / m) ** config.grade
     s_mid = 0.5 * (s[:-1] + s[1:])
-    nodes, wts = np.polynomial.legendre.leggauss(8)
+    nodes, wts = _gauss_legendre_8()
     # x at the midpoints, decreasing in j, then 1: cell j is [edges[j+1], edges[j]]
     edges = np.append(s_mid ** (-model.gamma), 1.0)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[:-1] - edges[1:])
-    log_x = np.log(mid[:, None] + half[:, None] * nodes[None, :])
-
-    def g_at_midpoints(terms) -> np.ndarray:
-        # cumulative int_1^{x_j} psi, summed cell by cell from x = 1 upwards
-        psi = sum(c * np.exp(e * log_x) * log_x ** k for c, e, k in terms)
-        return np.cumsum((half * (psi @ wts))[::-1])[::-1]
-
-    return (np.diff(s), g_at_midpoints(psi1_terms), g_at_midpoints(psi2_terms),
-            float(_phi_star(1.0, alpha, gamma1)))
+    cells = np.empty((2, m))
+    # chunks start at multiples of _GRID_CHUNK and the last one takes the
+    # tail, so that BLAS computes each row of psi @ wts as over the whole
+    # grid: it takes another path for the last rows of a short matrix
+    starts = list(range(0, max(m - _GRID_CHUNK, 0) + 1, _GRID_CHUNK))
+    # one set of buffers, sized for the last and longest chunk, serves every
+    # chunk: a fresh temporary of this size per operation costs new page
+    # faults whenever glibc hands the freed one back to the system, which
+    # depends on the process's history
+    buffers = np.empty((3 + len(exponents), m - starts[-1], 8))
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        chunk = slice(lo, hi)
+        log_x, term, psi, *x_pows = buffers[:, :hi - lo]
+        np.multiply(half[chunk, None], nodes, out=log_x)
+        log_x += mid[chunk, None]
+        np.log(log_x, out=log_x)
+        powers = {e: np.exp(np.multiply(e, log_x, out=p), out=p)
+                  for e, p in zip(exponents, x_pows)}
+        for row, terms in zip(cells, psi_terms):
+            psi[...] = 0.0
+            for c, e, k in terms:
+                np.multiply(c, powers[e], out=term)
+                if k:
+                    term *= log_x
+                psi += term
+            np.matmul(psi, wts, out=row[chunk])
+        cells[:, chunk] *= half[chunk]
+    # cumulative int_1^{x_j} psi, summed cell by cell from x = 1 upwards
+    g1, g2 = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1]
+    return np.diff(s), g1, g2, float(_phi_star(1.0, alpha, gamma1))
 
 
 def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
@@ -215,9 +259,10 @@ def sigma_squared_mc(alpha: float, gamma1: float, gamma2: float,
     replicate totals are drawn as sqrt(v) times r standard normals from one
     Philox(SeedSequence(seed)) stream.  Returns their sample variance, whose
     law is v chi2(r-1)/(r-1) as for the path-wise draw, with its Monte Carlo
-    standard error.  Work and memory are O(M + r); v is reduced by numpy's
-    pairwise sum, not BLAS, so the result is deterministic given the seed
-    for any BLAS thread count.
+    standard error.  Work is O(M + r) and memory O(M + chunk + r), as
+    :func:`_g_on_grid` builds G1 and G2 a chunk of cells at a time; v is
+    reduced by numpy's pairwise sum, not BLAS, so the result is
+    deterministic given the seed for any BLAS thread count.
     """
     model = _check_variance_domain(alpha, gamma1, gamma2)
     ds, g1, g2, a_const = _g_on_grid(alpha, gamma1, model, config)

@@ -581,6 +581,8 @@ def cmd_constants(args) -> int:
 def cmd_synth(args) -> int:
     if args.n < 1:
         raise CliError("--n must be >= 1")
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     if not 0 < args.scale < np.inf:
         raise CliError("--scale must be positive and finite")
     with _argument_errors():

@@ -185,6 +185,8 @@ class SweepSpec:
             raise ValueError("n must be >= 10")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.k_grid:
             raise ValueError("k_grid must not be empty")
         if not self.alphas:

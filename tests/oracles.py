@@ -105,6 +105,30 @@ def sigma_squared_quad(alpha: float, gamma1: float, gamma2: float) -> float:
             - 2.0 * a_const * p * int_g1 + p * a_const ** 2)
 
 
+def g_on_grid_per_term(alpha: float, gamma1: float, model: ModelParams, config):
+    """_g_on_grid as the library once computed it: every term over the whole grid.
+
+    Each term c * x^e * (log x)^m takes its own exp and power over all
+    (M, 8) nodes, and each G is its own reversed cumulative sum.  Returns
+    (ds, G1, G2, a) like _g_on_grid.
+    """
+    psi1_terms, psi2_terms = _psi_term_lists(alpha, gamma1, model)
+    m = config.grid_points
+    s = (np.arange(m + 1) / m) ** config.grade
+    s_mid = 0.5 * (s[:-1] + s[1:])
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    edges = np.append(s_mid ** (-model.gamma), 1.0)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[:-1] - edges[1:])
+    log_x = np.log(mid[:, None] + half[:, None] * nodes[None, :])
+
+    def g_at_midpoints(terms) -> np.ndarray:
+        psi = sum(c * np.exp(e * log_x) * log_x ** k for c, e, k in terms)
+        return np.cumsum((half * (psi @ wts))[::-1])[::-1]
+
+    return (np.diff(s), g_at_midpoints(psi1_terms), g_at_midpoints(psi2_terms),
+            float(_phi_star(1.0, alpha, gamma1)))
+
+
 def sigma2_mc_gaussian_path(alpha: float, gamma1: float, gamma2: float, config):
     """sigma_squared_mc's estimate drawn path-wise, as the library once drew it.
 

@@ -30,7 +30,8 @@ from tailcens import (
 from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_star,
                                   _psi_term_lists)
 
-from oracles import mu_quad, phi, sigma2_mc_gaussian_path, sigma_squared_quad
+from oracles import (g_on_grid_per_term, mu_quad, phi, sigma2_mc_gaussian_path,
+                     sigma_squared_quad)
 
 # ---------------------------------------------------------------------------
 # independent oracle: psi1/psi2 are finite sums of c * x^e * (log x)^m, so
@@ -541,6 +542,21 @@ def test_grid_expectation_matches_sigma_squared(config, points):
         grid = sigma2_grid_expectation(alpha, gamma1, gamma2, config)
         worst = max(worst, abs(grid - exact) / exact)
     assert worst < 1e-5, f"worst relative gap {worst:.3g}"
+
+
+@pytest.mark.parametrize("config", [
+    GaussianOracleConfig(),
+    # not multiples of the chunk: one grid shorter than a chunk, one with a tail of 1
+    GaussianOracleConfig(grid_points=1000),
+    GaussianOracleConfig(grid_points=8193),
+    GaussianOracleConfig(grid_points=5000, grade=2.5),
+], ids=["default", "m1000", "m8193", "grade2.5"])
+@pytest.mark.parametrize("alpha, gamma1, p", CONSTANTS_GRID)
+def test_g_on_grid_is_bit_equal_to_the_per_term_reference(alpha, gamma1, p, config):
+    model = _check_variance_domain(alpha, gamma1, p * gamma1 / (1 - p))
+    got = _g_on_grid(alpha, gamma1, model, config)
+    want = g_on_grid_per_term(alpha, gamma1, model, config)
+    assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
 
 def test_gaussian_oracle_config_validation():

@@ -269,6 +269,19 @@ def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("config_seed, option", [
+    ("-2", []), ("1", ["--seed", "-2"]),
+], ids=["config", "option"])
+def test_sweep_rejects_a_negative_seed(tmp_path, capsys, config_seed, option):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\nseed = {config_seed}\n")
+    out = tmp_path / "o"
+    code, stdout, err = run_cli(capsys, "sweep", str(cfg), "--output-dir", str(out), *option)
+    assert code == 1
+    assert err.strip() == "error: seed must be >= 0"
+    assert stdout == "" and not out.exists()
+
+
 def test_sweep_replicates_option_overrides_the_config(tmp_path, capsys):
     base = ("n = 100\ngamma1 = 0.3\np = 0.7\nalphas = 0,0.5\nk_min = 10\nk_max = 20\n"
             "k_step = 10\nepsilon = 0.15\ntheta1 = 0.6\n")
@@ -331,6 +344,23 @@ def test_constants_row(capsys):
     assert abs(vals["sigma2"] - vals["sigma2_mc"]) <= 3 * vals["mc_stderr"]
 
 
+CONSTANTS_HEADER = "alpha,gamma1,gamma2,p,tau1,eta_star,mu,sigma2,sigma2_mc,mc_stderr\n"
+
+
+@pytest.mark.parametrize("alpha, gamma1, p, row", [
+    ("0.5", "0.3", "0.7", "0.5,0.3,0.7,0.7,0,9.63581747133,3.21193915711,2.13706083018,"
+                          "2.14255949881,0.0479150766108"),
+    ("1", "0.5", "0.8", "1,0.5,2,0.8,0,3.328,1.664,1.76660872606,1.77115378256,0.0396091540177"),
+    ("0.3", "0.2", "0.75", "0.3,0.2,0.6,0.75,0,23.6527870008,5.45833546171,2.27327632314,"
+                           "2.27912551857,0.0509691674319"),
+], ids=["0.5-0.3-0.7", "1-0.5-0.8", "0.3-0.2-0.75"])
+def test_constants_rows_at_the_benchmark_points_are_pinned(capsys, alpha, gamma1, p, row):
+    code, out, err = run_cli(capsys, "constants", "--alpha", alpha, "--gamma1", gamma1,
+                             "--p", p, "--seed", "0", "--replicates", "4000")
+    assert (code, err) == (0, "")
+    assert out == CONSTANTS_HEADER + row + "\n"
+
+
 def python(*args, check=True):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -357,6 +387,14 @@ def test_cli_import_loads_no_scipy():
     code = ("import sys, tailcens.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_python(code).stdout == "[]\n"
+
+
+def test_cli_import_builds_no_quadrature_nodes():
+    # the Gauss-Legendre nodes are built by the first sigma_squared_mc, not at import
+    code = ("import sys, tailcens.cli; from tailcens import asymptotics; "
+            "print('numpy.polynomial' in sys.modules, "
+            "asymptotics._gauss_legendre_8.cache_info().currsize)")
+    assert run_python(code).stdout == "False 0\n"
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -511,6 +549,10 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
     (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "1.5"], "p=1.5 must lie in (0, 1)"),
     (["constants", "--alpha", "0.5", "--gamma1", "0.5", "--p", "0.8", "--tau1", "nan"],
      "tau1 must be nonpositive and finite"),
+    (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "0.7", "--seed", "-1"],
+     "seed must be >= 0"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7", "--seed", "-1"],
+     "--seed must be >= 0"),
     (["synth", "--n", "5", "--gamma1", "nan", "--p", "0.8"],
      "gamma1 and gamma2 must be positive and finite"),
     (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.8", "--eta", "inf"],
