@@ -549,16 +549,16 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
     (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "1.5"], "p=1.5 must lie in (0, 1)"),
     (["constants", "--alpha", "0.5", "--gamma1", "0.5", "--p", "0.8", "--tau1", "nan"],
      "tau1 must be nonpositive and finite"),
-    (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "0.7", "--seed", "-1"],
-     "seed must be >= 0"),
-    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7", "--seed", "-1"],
-     "--seed must be >= 0"),
     (["synth", "--n", "5", "--gamma1", "nan", "--p", "0.8"],
      "gamma1 and gamma2 must be positive and finite"),
     (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.8", "--eta", "inf"],
      "eta must be positive and finite"),
     (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.8", "--epsilon", "0.5", "--theta1", "nan"],
      "theta1 must be positive and finite"),
+    (["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "0.7", "--seed", "-1"],
+     "seed must be >= 0"),
+    (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7", "--seed", "-1"],
+     "--seed must be >= 0"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"
