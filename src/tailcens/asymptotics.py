@@ -2,10 +2,10 @@
 
 The limiting normal law of the estimator involves three constants: the
 curvature eta_star, the bias coefficient mu and the variance sigma2.  Their
-integrands, like _phi_star's, are finite sums of powers and logs, so all
-have exact closed forms; sigma2 also has a Gaussian-process Monte Carlo route.
-Each of its replicates is a fixed-weight sum of independent normals, so by
-the Ito isometry on its grid it is drawn exactly in law as one N(0, v).
+integrands are finite sums of powers and logs, so all have exact closed
+forms; sigma2 also has a Gaussian-process Monte Carlo route.  Each of its
+replicates is a fixed-weight sum of independent normals, so by the Ito
+isometry on its grid it is drawn exactly in law as one N(0, v).
 
 All routines require the limiting uncensored proportion
 p = gamma2/(gamma1+gamma2) to exceed 1/2 where noted.  The variance
@@ -25,32 +25,39 @@ import numpy as np
 from .sample_model import ModelParams, _check_alpha
 
 
-def _phi_coeffs(alpha: float, gamma1: float) -> tuple[float, float, float, float]:
-    """Coefficients of the bias kernel phi(x) = scale (A - B log x) x^-decay, x >= 1.
+def _phi_terms(alpha: float, gamma1: float):
+    """The bias kernel phi and its tail integral phi* as power-log term lists.
 
-    Returns (scale, A, B, decay); phi decays to 0 and changes sign once, at
-    x = exp(A / B).
+    phi(x) = scale (A - B log x) x^-decay, x >= 1, changes sign once, at
+    x = exp(A/B); phi*(x) = int_x^inf t^(-1/gamma1) phi(t) dt = scale x^-rho
+    ((A - B log x)/rho - B/rho^2), rho = (1+alpha)(1+gamma1)/gamma1 - 1.
+    A term (coef, exponent, log_power) is coef * x^exponent * (log x)^log_power.
     """
     scale = alpha / gamma1 ** (alpha + 3)
     a_lin = gamma1 * (1.0 + alpha + alpha * gamma1)
     b_lin = alpha * (1.0 + gamma1)
     decay = (alpha + gamma1 + alpha * gamma1) / gamma1
-    return scale, a_lin, b_lin, decay
+    rho = (1.0 + alpha) * (1.0 + gamma1) / gamma1 - 1.0
+    phi = ((scale * a_lin, -decay, 0), (-scale * b_lin, -decay, 1))
+    star = ((scale * (a_lin / rho - b_lin / rho ** 2), -rho, 0),
+            (-scale * b_lin / rho, -rho, 1))
+    return phi, star
+
+
+def _laplace(terms, rate: float) -> float:
+    """int_1^inf x^(-rate) sum c x^e (log x)^m dx = sum c / (rate - (e+1))^(m+1).
+
+    Exact for m <= 1 (m! = 1) when every rate - (e+1) is positive.
+    """
+    return sum(c / (rate - (e + 1.0)) ** (m + 1) for c, e, m in terms)
 
 
 def _phi_star(x, alpha: float, gamma1: float):
-    """Tail integral int_x^inf t^(-1/gamma1) phi(t) dt, in closed form.
-
-    The integrand is t^(-c) (A - B log t) with c = (1+alpha)(1+gamma1)/gamma1,
-    so the antiderivative is elementary.  Vectorized over x.
-    """
+    """phi*(x) = int_x^inf t^(-1/gamma1) phi(t) dt from its term list.  Vectorized over x."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 1):
         raise ValueError("phi_star domain is x >= 1")
-    scale, a_lin, b_lin, _ = _phi_coeffs(alpha, gamma1)
-    c = (1.0 + alpha) * (1.0 + gamma1) / gamma1
-    out = scale * x ** (1.0 - c) * (
-        (a_lin - b_lin * np.log(x)) / (c - 1.0) - b_lin / (c - 1.0) ** 2)
+    out = sum(c * x ** e * np.log(x) ** m for c, e, m in _phi_terms(alpha, gamma1)[1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -66,18 +73,15 @@ def eta_star(alpha: float, gamma1: float) -> float:
 def mu(alpha: float, gamma1: float, tau1: float) -> float:
     """Bias constant: int_1^inf x^(-1/gamma1) (x^(tau1/gamma1)-1)/(gamma1 tau1) phi(x) dx.
 
-    At tau1 = 0 the kernel is its limit log(x)/gamma1^2.  With x = e^v the
-    integral is elementary, and its closed form does not divide by tau1.
+    At tau1 = 0 the kernel is its limit log(x)/gamma1^2.  By parts (the kernel
+    is 0 at x = 1), mu = gamma1^-2 int_1^inf x^(tau1/gamma1 - 1) phi*(x) dx, a
+    :func:`_laplace` integral that does not divide by tau1.
     """
     if not -np.inf < tau1 <= 0:
         raise ValueError("tau1 must be nonpositive and finite")
     if not (0 < gamma1 < np.inf and 0 < alpha < np.inf):
         raise ValueError("gamma1 and alpha must be positive and finite")
-    scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
-    rho = decay + 1.0 / gamma1 - 1.0
-    d = tau1 / gamma1
-    return scale / gamma1 ** 2 * (a_lin / (rho * (rho - d))
-                                  - b_lin * (2.0 * rho - d) / (rho ** 2 * (rho - d) ** 2))
+    return _laplace(_phi_terms(alpha, gamma1)[1], 1.0 - tau1 / gamma1) / gamma1 ** 2
 
 
 def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelParams:
@@ -94,43 +98,38 @@ def _check_variance_domain(alpha: float, gamma1: float, gamma2: float) -> ModelP
 def _psi_term_lists(alpha: float, gamma1: float, model: ModelParams):
     """psi1 and psi2 as power-log term lists [(coef, exponent, log_power)].
 
-    Both kernels are finite sums of coef * x^exponent * (log x)^power,
-    power 0 or 1, so their integrals are elementary.
+    psi1 = x^(1/gamma2) phi - q x^(1/gamma) phi* and psi2 = x^(1/gamma) phi*:
+    the term lists of :func:`_phi_terms`, shifted.
     """
-    scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
-    c = (1.0 + alpha) * (1.0 + gamma1) / gamma1
-    phi_terms = ((scale * a_lin, -decay, 0), (-scale * b_lin, -decay, 1))
-    star_terms = ((scale * (a_lin / (c - 1.0) - b_lin / (c - 1.0) ** 2), 1.0 - c, 0),
-                  (-scale * b_lin / (c - 1.0), 1.0 - c, 1))
+    phi, star = _phi_terms(alpha, gamma1)
     gamma2, q, gamma = model.gamma2, model.q, model.gamma
-    psi1 = tuple((cc, e + 1.0 / gamma2, m) for cc, e, m in phi_terms) + \
-        tuple((-q * cc, e + 1.0 / gamma, m) for cc, e, m in star_terms)
-    psi2 = tuple((cc, e + 1.0 / gamma, m) for cc, e, m in star_terms)
+    psi1 = tuple((c, e + 1.0 / gamma2, m) for c, e, m in phi) + \
+        tuple((-q * c, e + 1.0 / gamma, m) for c, e, m in star)
+    psi2 = tuple((c, e + 1.0 / gamma, m) for c, e, m in star)
     return psi1, psi2
 
 
 def _g_moments(terms, gamma: float) -> tuple[float, float]:
     """(int_0^1 G ds, int_0^1 G^2 ds) for G(s) = int_1^(s^-gamma) psi(x) dx, exactly.
 
-    With x = e^v, psi(x) dx = f(v) dv for f(v) = sum c e^(kappa v) v^m, kappa = e + 1
-    and m <= 1 (so m! = 1).  Then int G ds = int_0^inf f(v) e^(-v/gamma) dv =
-    sum c/a^(m+1), and by Fubini int G^2 ds = 2 int_0^inf f(v) e^(-v/gamma) int_0^v
-    f(u) du dv, whose (i, j) term is 1/(a b^(m_j+1)) times 1 if m_i = 0, and times
-    (m_j+1)/b + 1/a if m_i = 1; here a = 1/gamma - kappa_i and b = a - kappa_j.
-    No kappa is a divisor, so kappa = 0 needs no branch.  The smallest b,
-    1/gamma - 2 max(kappa), is 2/(p gamma1) times the margin of
+    int G ds = int_1^inf x^(-1/gamma) psi(x) dx is :func:`_laplace` at rate 1/gamma.
+    With x = e^v, psi(x) dx = f(v) dv for f(v) = sum c e^(kappa v) v^m, kappa =
+    e + 1 and m <= 1, and by Fubini int G^2 ds = 2 int_0^inf f(v) e^(-v/gamma)
+    int_0^v f(u) du dv, whose (i, j) term is 1/(a b^(m_j+1)) times 1 if m_i = 0,
+    and times (m_j+1)/b + 1/a if m_i = 1; here a = 1/gamma - kappa_i and b =
+    a - kappa_j.  No kappa is a divisor, so kappa = 0 needs no branch.  The
+    smallest b, 1/gamma - 2 max(kappa), is 2/(p gamma1) times the margin of
     :func:`_check_variance_domain`'s second check, so every a and b is positive.
     """
     rate = 1.0 / gamma
-    mean = square = 0.0
+    square = 0.0
     for ci, ei, mi in terms:
         a = rate - (ei + 1.0)
-        mean += ci / a ** (mi + 1)
         for cj, ej, mj in terms:
             b = a - (ej + 1.0)
             pair = 1.0 / (a * b ** (mj + 1))
             square += ci * cj * ((mj + 1) * pair / b + pair / a if mi else pair)
-    return mean, 2.0 * square
+    return _laplace(terms, rate), 2.0 * square
 
 
 def sigma_squared(alpha: float, gamma1: float, gamma2: float) -> float:

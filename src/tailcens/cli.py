@@ -563,17 +563,25 @@ def _emit_svg(path: str, spec: SweepSpec, by_cell: dict, which: int) -> None:
 def cmd_constants(args) -> int:
     if not args.alpha > 0:  # written so that NaN fails it
         raise CliError("constants requires alpha > 0")
-    # gamma2_from_p, mu and sigma_squared check the remaining arguments,
-    # p included, before the MC runs
-    with _argument_errors():
-        gamma2 = gamma2_from_p(args.gamma1, args.p)
-        config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)
-        mu_value = mu(args.alpha, args.gamma1, args.tau1)
-        sigma2 = sigma_squared(args.alpha, args.gamma1, gamma2)
-    sigma2_mc, stderr = sigma_squared_mc(args.alpha, args.gamma1, gamma2, config)
+    # gamma2_from_p, mu and sigma_squared check the remaining arguments, p
+    # included, before the MC runs; arguments whose row leaves the float
+    # range are a user error too
+    out_of_range = (f"alpha={args.alpha!r}, gamma1={args.gamma1!r}, p={args.p!r} "
+                    "put the constants out of the float range")
+    try:
+        with _argument_errors():
+            gamma2 = gamma2_from_p(args.gamma1, args.p)
+            config = GaussianOracleConfig(seed=args.seed, replicates=args.replicates)
+            mu_value = mu(args.alpha, args.gamma1, args.tau1)
+            sigma2 = sigma_squared(args.alpha, args.gamma1, gamma2)
+        row = (args.alpha, args.gamma1, gamma2, args.p, args.tau1,
+               eta_star(args.alpha, args.gamma1), mu_value, sigma2)
+        row += sigma_squared_mc(args.alpha, args.gamma1, gamma2, config)
+    except ArithmeticError as exc:
+        raise CliError(out_of_range) from exc
+    if not np.all(np.isfinite(row)):
+        raise CliError(out_of_range)
     sys.stdout.write("alpha,gamma1,gamma2,p,tau1,eta_star,mu,sigma2,sigma2_mc,mc_stderr\n")
-    row = (args.alpha, args.gamma1, gamma2, args.p, args.tau1,
-           eta_star(args.alpha, args.gamma1), mu_value, sigma2, sigma2_mc, stderr)
     sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
     return 0
 

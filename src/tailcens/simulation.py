@@ -164,6 +164,10 @@ def sample_contaminated_censored(n: int, model: ModelParams,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if replicate < 0:
+        raise ValueError("replicate must be >= 0")
     z, delta = _draw_arrays(n, model, contamination, [_replicate_rng(seed, replicate)])
     return z[0], delta[0]
 

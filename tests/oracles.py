@@ -4,8 +4,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from tailcens import ContaminationSpec, MdpdWindow, ModelParams, OrderedSample, TailConfig
-from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_coeffs,
-                                  _phi_star, _psi_term_lists)
+from tailcens.asymptotics import (_check_variance_domain, _g_on_grid, _phi_star,
+                                  _psi_term_lists)
 
 _QUAD_KW = dict(epsabs=1e-10, epsrel=1e-8, limit=200)
 
@@ -47,8 +47,12 @@ def mu_quad(alpha: float, gamma1: float, tau1: float) -> float:
         def kernel(v):
             return np.expm1(tau1 * v / gamma1) / (gamma1 * tau1)
 
-    # every power of x = e^v folds into one decaying exponential in v
-    scale, a_lin, b_lin, decay = _phi_coeffs(alpha, gamma1)
+    # phi's coefficients, as in phi() above; every power of x = e^v folds
+    # into one decaying exponential in v
+    scale = alpha / gamma1 ** (alpha + 3)
+    a_lin = gamma1 * (1.0 + alpha + alpha * gamma1)
+    b_lin = alpha * (1.0 + gamma1)
+    decay = (alpha + gamma1 + alpha * gamma1) / gamma1
     rate = 1.0 - 1.0 / gamma1 - decay
 
     def integrand(v):

@@ -44,8 +44,16 @@ THREE = tailcens.ordered_from_arrays([1.0, 2.0, 4.0], [1, 1, 1])
                                     model=tailcens.ModelParams(gamma1=0.5, gamma2=1.5)),
      "k must be >= 1"),
     (lambda: tailcens.GaussianOracleConfig(grade=0.5), "grade must be >= 1"),
+    (lambda: tailcens.sample_contaminated_censored(
+        5, tailcens.ModelParams(gamma1=0.3, gamma2=0.7), tailcens.ContaminationSpec(), seed=-1),
+     "seed must be >= 0"),
+    (lambda: tailcens.sample_contaminated_censored(
+        5, tailcens.ModelParams(gamma1=0.3, gamma2=0.7), tailcens.ContaminationSpec(), seed=0,
+        replicate=-1),
+     "replicate must be >= 0"),
 ], ids=["worms_estimator", "mdpd_weights", "sample_contaminated_censored", "asymptotic_ci",
-        "GaussianOracleConfig"])
+        "GaussianOracleConfig", "sample_contaminated_censored-seed",
+        "sample_contaminated_censored-replicate"])
 def test_public_argument_checks_raise_value_error(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

@@ -241,7 +241,27 @@ def test_mu_rejects_a_non_finite_tau1(tau1):
         mu(1.0, 1.0, tau1)
 
 
+def mu_closed_form(alpha, gamma1, tau1):
+    """mu's printed closed form in 50-digit arithmetic at the exact float inputs.
+
+    With rho = (1+alpha)(1+gamma1)/gamma1 - 1 and d = tau1/gamma1, mu =
+    (scale/gamma1^2) (A/(rho (rho-d)) - B (2 rho - d)/(rho^2 (rho-d)^2)).
+    """
+    with mpmath.workdps(50):
+        a, g, t = (mpmath.mpf(v) for v in (alpha, gamma1, tau1))
+        scale, big_a, big_b = a / g ** (a + 3), g * (1 + a + a * g), a * (1 + g)
+        rho, d = (1 + a) * (1 + g) / g - 1, t / g
+        return scale / g ** 2 * (big_a / (rho * (rho - d))
+                                 - big_b * (2 * rho - d) / (rho ** 2 * (rho - d) ** 2))
+
+
 def test_mu_against_mpmath_oracle():
+    for alpha in (0.01, 0.3, 1.0, 2.5):
+        for gamma1 in (0.05, 0.3, 1.0, 3.0):
+            for tau1 in (0.0, -1e-12, -0.5, -1e6):
+                expected = mu_closed_form(alpha, gamma1, tau1)
+                assert abs(mu(alpha, gamma1, tau1) - expected) <= 4e-15 * abs(expected)
+    # the closed form is the integral
     cases = [(0.3, 0.5, -0.5), (0.5, 0.3, -1.0), (1.0, 0.7, 0.0), (0.1, 1.2, -2.0)]
     for alpha, gamma1, tau1 in cases:
         def integrand(x):
@@ -257,6 +277,7 @@ def test_mu_against_mpmath_oracle():
 
         expected = float(mpmath.quad(integrand, [1, 10, mpmath.inf]))
         assert mu(alpha, gamma1, tau1) == pytest.approx(expected, rel=1e-8)
+        assert float(mu_closed_form(alpha, gamma1, tau1)) == pytest.approx(expected, rel=1e-8)
 
 
 def test_mu_vanishes_for_strong_second_order():
@@ -353,6 +374,27 @@ def test_sigma_squared_matches_exact_algebra(alpha, gamma1, p):
     assert sigma_squared(alpha, gamma1, gamma2) == pytest.approx(expected, rel=1e-12)
     # the nested quadrature it replaced converges here, and agrees
     assert sigma_squared_quad(alpha, gamma1, gamma2) == pytest.approx(expected, rel=1e-10)
+
+
+# sigma_squared's bits at each point, as recorded before its kernels moved to
+# _phi_terms: one ulp of any psi coefficient or G mean changes them
+SIGMA_SQUARED_HEX = {
+    (0.5, 0.3, 0.7): "0x1.118b3593985abp+1",
+    (1.0, 0.5, 0.8): "0x1.c440782f40c40p+0",
+    (0.3, 0.2, 0.75): "0x1.22fab7f355a06p+1",
+    (0.1, 0.3, 0.7): "0x1.e31cdda859240p-3",
+    (0.3, 0.3, 0.6): "0x1.72937d567f7a1p+0",
+    (0.5, 0.5, 0.75): "0x1.975119411b598p-2",
+    (1.0, 1.0, 0.6): "0x1.b858169c83cd0p-4",
+    (0.3, 0.5, 0.7): "0x1.b1805287bec1bp-2",
+    (0.5, 0.3, 0.55): "0x1.98329551069cdp+1",
+}
+
+
+@pytest.mark.parametrize("alpha,gamma1,p", CONSTANTS_GRID + SIGMA_GRID)
+def test_sigma_squared_bits_are_pinned(alpha, gamma1, p):
+    gamma2 = p * gamma1 / (1 - p)
+    assert sigma_squared(alpha, gamma1, gamma2).hex() == SIGMA_SQUARED_HEX[alpha, gamma1, p]
 
 
 def _alpha_at_margin(margin, gamma1=0.3, p=0.7):

@@ -559,6 +559,14 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
      "seed must be >= 0"),
     (["synth", "--n", "5", "--gamma1", "0.5", "--p", "0.7", "--seed", "-1"],
      "--seed must be >= 0"),
+    # rows that leave the float range: a division by a power that underflows
+    # to 0, or a square that overflows
+    (["constants", "--alpha", "1e308", "--gamma1", "0.3", "--p", "0.7"],
+     "alpha=1e+308, gamma1=0.3, p=0.7 put the constants out of the float range"),
+    (["constants", "--alpha", "0.5", "--gamma1", "1e-300", "--p", "0.7"],
+     "alpha=0.5, gamma1=1e-300, p=0.7 put the constants out of the float range"),
+    (["constants", "--alpha", "400", "--gamma1", "0.3", "--p", "0.7"],
+     "alpha=400.0, gamma1=0.3, p=0.7 put the constants out of the float range"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"
