@@ -25,8 +25,8 @@ import numpy as np
 
 from .asymptotics import (GaussianOracleConfig, eta_star, mu, sigma_squared,
                           sigma_squared_mc)
-from .estimators import (EstimationError, SolverOptions, efg_estimator, hill_gamma,
-                         mdpd_estimate, worms_estimator)
+from .estimators import (EstimationError, SolverOptions, _check_alpha_domain, efg_estimator,
+                         hill_gamma, mdpd_estimate, worms_estimator)
 from .sample_model import InvalidSampleError, ModelParams, TailConfig, ordered_from_arrays
 from .simulation import (ContaminationSpec, SweepSpec, gamma2_from_p, run_sweep,
                          sample_contaminated_censored)
@@ -359,12 +359,14 @@ def cmd_estimate(args) -> int:
     times, statuses = read_dataset(args.file)
     ks = _k_range(args, times.size)
     alphas = args.alpha if args.alpha else [0.0]
-    # every cell and the solver options are validated before the header, so
-    # a bad argument writes nothing, and before the ordering, which a k
-    # below 1 must not reach
+    # every cell, the solver options and each alpha on their domain are
+    # validated before the header, so a bad argument writes nothing, and
+    # before the ordering, which a k below 1 must not reach
     with _argument_errors():
         cells = [[TailConfig(k=k, alpha=alpha) for alpha in alphas] for k in ks]
         options = SolverOptions(*args.domain, tol_abs=args.tol)
+        for alpha in alphas:
+            _check_alpha_domain(alpha, options)
     # every estimator reads only the top k + 1 order statistics, so only the
     # top max(k) + 1 are ordered; the full arrays are not kept beside them
     sample = ordered_from_arrays(times, statuses, top=max(ks) + 1)
@@ -608,6 +610,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tailcens",
                                      description=__doc__,
@@ -626,14 +629,12 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--tol", type=float, default=1e-10)
     est.add_argument("--domain", type=float, nargs=2, default=(1e-6, 50.0),
                      metavar=("LO", "HI"))
-    est.set_defaults(func=cmd_estimate)
 
     con = sub.add_parser("contaminate", help="inject outliers into a dataset")
     con.add_argument("file")
     con.add_argument("--table", default=None,
                      help="CSV of original,replacement pairs (default: built-in table)")
     con.add_argument("--output", default=None, help="write here instead of stdout")
-    con.set_defaults(func=cmd_contaminate)
 
     swp = sub.add_parser("sweep", help="Monte Carlo bias/MSE sweep")
     swp.add_argument("config", help="key = value config file")
@@ -645,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="processes, this one included, capped at the usable CPUs; "
                           "output is identical for any count")
     swp.add_argument("--emit-svg", action="store_true")
-    swp.set_defaults(func=cmd_sweep)
 
     cst = sub.add_parser("constants", help="asymptotic constants table")
     cst.add_argument("--alpha", type=float, required=True)
@@ -654,7 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     cst.add_argument("--tau1", type=float, default=0.0)
     cst.add_argument("--seed", type=int, default=0)
     cst.add_argument("--replicates", type=int, default=4000)
-    cst.set_defaults(func=cmd_constants)
 
     syn = sub.add_parser("synth", help="generate a synthetic censored dataset")
     syn.add_argument("--n", type=int, required=True)
@@ -667,7 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="multiply all times by this constant")
     syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--output", default=None)
-    syn.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -698,7 +696,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, InvalidSampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

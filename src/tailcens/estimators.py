@@ -30,6 +30,10 @@ LOCAL_ROWS = 16
 # points of the scan grid over the search domain, and Brent iterations per bracket
 GRID_POINTS = 200
 MAX_ITER = 200
+# Brent's controls for every bracket, so the sweep's roots are the full scan's
+_BRENT = {"xtol": 1e-14, "rtol": 8.9e-16, "maxiter": MAX_ITER}
+# above the largest log-excess of positive finite float64 times, log(max / min subnormal)
+_MAX_LOG_EXCESS = 1455.0
 
 
 class EstimationError(ValueError):
@@ -72,6 +76,28 @@ class SolverOptions:
         grid = np.geomspace(self.domain_lo, self.domain_hi, GRID_POINTS)
         grid.flags.writeable = False
         return grid
+
+
+def _check_alpha_domain(alpha: float, options: SolverOptions) -> None:
+    """The rule of an MDPD tuning parameter, and for alpha > 0 that its residuals stay floats.
+
+    On the search domain [lo, hi] the factors of the residual (see
+    :func:`_stacked_residuals`) are largest at an end: (1 + alpha +
+    alpha g)^2 and alpha g (g + 1) at hi, the exponent alpha (1 + 1/g) L_i
+    at lo, with L_i below _MAX_LOG_EXCESS, and g sum_i a_ik r_i^(...) at
+    hi, with sum_i a_ik < e.  Raises ValueError if one of them leaves
+    float64, where every residual could be 0 or NaN and every grid row a
+    spurious root.
+    """
+    _check_alpha(alpha)
+    alpha = float(alpha)  # Python floats overflow to inf without a warning
+    lo, hi = sorted((float(options.domain_lo), float(options.domain_hi)))
+    d = 1.0 + alpha + alpha * hi
+    factors = (d * d, alpha * hi * (hi + 1.0), alpha * (1.0 + 1.0 / lo) * _MAX_LOG_EXCESS,
+               np.e * hi)
+    if alpha > 0 and max(factors) == np.inf:
+        raise ValueError(f"alpha={alpha} puts the MDPD residual out of the float range "
+                         f"on the domain ({lo}, {hi}); choose a smaller alpha or domain")
 
 
 @dataclass(frozen=True)
@@ -316,8 +342,7 @@ class MdpdWindow:
                  for j in exact_hits]
         for j in sign_change:
             a, b = float(grid[j]), float(grid[j + 1])
-            root, info = brentq(self.residual, a, b, args=(alpha,), xtol=1e-14,
-                                rtol=8.9e-16, maxiter=MAX_ITER)
+            root, info = brentq(self.residual, a, b, args=(alpha,), **_BRENT)
             res = self.residual(root, alpha)
             if abs(res) <= options.tol_abs:
                 roots.append((root, res, (a, b), info.iterations))
@@ -328,7 +353,7 @@ class MdpdWindow:
     def estimate(self, alpha: float,
                  options: SolverOptions = SolverOptions()) -> EstimateResult:
         """MDPD estimate at tuning parameter alpha >= 0; see :func:`mdpd_estimate`."""
-        _check_alpha(alpha)
+        _check_alpha_domain(alpha, options)
         k = self.k
         if alpha == 0.0:
             value = self.reference
@@ -381,8 +406,8 @@ def _nearest_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray], cel
     cell, row = np.nonzero(np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0)
     roots, _, at_roots = _brent_many(
         lambda idx, x: residual(cells[cell[idx]], x[:, None])[:, 0],
-        points[cell, row], points[cell, row + 1], xtol=1e-14, rtol=8.9e-16, maxiter=MAX_ITER,
-        fa=values[cell, row], fb=values[cell, row + 1])
+        points[cell, row], points[cell, row + 1], fa=values[cell, row],
+        fb=values[cell, row + 1], **_BRENT)
     met = np.abs(at_roots) <= _SWEEP_OPTIONS.tol_abs
     cell, row, roots = cell[met], row[met], roots[met]
     # candidates in the full scan's order: exact zeros, then Brent roots;

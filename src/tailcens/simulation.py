@@ -22,9 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import LOCAL_ROWS, _solve_windows
-from .sample_model import (InvalidSampleError, ModelParams, _check_alpha, _check_times,
-                           _top_slice)
+from .estimators import LOCAL_ROWS, _SWEEP_OPTIONS, _check_alpha_domain, _solve_windows
+from .sample_model import InvalidSampleError, ModelParams, _top_slice
 
 # Bytes that the float64 arrays of one block of replicates, which are
 # drawn and solved together, may take: per replicate, the local scans of
@@ -123,7 +122,8 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
     both are folded into z and delta.  Both quantiles are elementwise, so
     the chunking does not change a bit.
     Raises InvalidSampleError where a censoring time underflows to 0, which
-    only a p close to 1 gives.
+    only a p close to 1 gives, and where an observed time is 0 or inf, which
+    an extreme gamma1, eta or theta1 gives.
     """
     contaminated = _uniforms(rngs, n) < contamination.epsilon
     z = _uniforms(rngs, n)
@@ -147,6 +147,11 @@ def _draw_arrays(n: int, model: ModelParams, contamination: ContaminationSpec,
                                      f"(gamma2={model.gamma2:.12g}); choose a smaller p")
         delta[:, lo:lo + _DRAW_CHUNK] = x <= c
         np.minimum(x, c, out=x)
+        if not (x.min() > 0 and x.max() < np.inf):  # written so that NaN fails it
+            raise InvalidSampleError(
+                f"a drawn time is not positive and finite at gamma1={model.gamma1:.12g}, "
+                f"eta={model.eta:.12g}, theta1={contamination.theta1:.12g}; "
+                "choose other model parameters")
     return z, delta
 
 
@@ -198,7 +203,7 @@ class SweepSpec:
         if any(k >= self.n or k < 1 for k in self.k_grid):
             raise ValueError("every k must satisfy 1 <= k < n")
         for alpha in self.alphas:
-            _check_alpha(alpha)
+            _check_alpha_domain(alpha, _SWEEP_OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -213,16 +218,15 @@ def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
     """gamma1_hat of every (replicate, k, alpha) cell of a block of replicates; NaN on failure.
 
     The block is drawn as one array, each replicate on its own stream
-    (:func:`_draw_arrays`), and checked once: every time must be positive
-    and finite.  Each row's max(k_grid) + 1 largest observations are then
-    taken in the order of ``np.argsort(z, kind="stable")``, the permutation
-    of ``ordered_from_arrays`` (:func:`_top_slice`), and every cell is
-    solved in one ``estimators._solve_windows``, so every value is
-    bit-identical to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
+    (:func:`_draw_arrays`, which checks every time).  Each row's
+    max(k_grid) + 1 largest observations are then taken in the order of
+    ``np.argsort(z, kind="stable")``, the permutation of
+    ``ordered_from_arrays`` (:func:`_top_slice`), and every cell is solved
+    in one ``estimators._solve_windows``, so every value is bit-identical
+    to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
     """
     z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
                             [_replicate_rng(spec.seed, r) for r in replicates])
-    _check_times(z)
     top = _top_slice(z, max(spec.k_grid) + 1)
     return _solve_windows(np.take_along_axis(z, top, axis=1),
                           np.take_along_axis(delta, top, axis=1), spec.k_grid, spec.alphas)

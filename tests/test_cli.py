@@ -1,3 +1,4 @@
+import argparse
 import errno
 import multiprocessing
 import os
@@ -258,7 +259,14 @@ def test_sweep_threads_must_be_positive(tmp_path, capsys, threads):
     ("n 1000\n", "invalid config line: 'n 1000'"),
     # a later line for a key replaces the earlier one
     ("n = abc\n", "invalid config value: invalid literal for int() with base 10: 'abc'"),
-], ids=["k_step", "empty_k_range", "alpha_nan", "no_equals_sign", "n_not_an_int"])
+    ("alphas = 0,1e300\n", "alpha=1e+300 puts the MDPD residual out of the float range "
+                           "on the domain (1e-06, 50.0); choose a smaller alpha or domain"),
+    ("gamma1 = 1e-300\n", "a drawn time is not positive and finite at gamma1=1e-300, "
+                          "eta=0.25, theta1=1e-300; choose other model parameters"),
+    ("eta = 1e300\n", "a drawn time is not positive and finite at gamma1=0.3, eta=1e+300, "
+                      "theta1=0.3; choose other model parameters"),
+], ids=["k_step", "empty_k_range", "alpha_nan", "no_equals_sign", "n_not_an_int",
+        "alpha_out_of_float_range", "gamma1_underflows", "eta_overflows"])
 def test_sweep_config_k_step_must_be_positive(tmp_path, capsys, lines, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n = 100\ngamma1 = 0.3\np = 0.7\nreplicates = 1\n" + lines)
@@ -364,7 +372,9 @@ def test_constants_rows_at_the_benchmark_points_are_pinned(capsys, alpha, gamma1
 def python(*args, check=True):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+    # -W error, so that a warning fails a run here as pyproject's filterwarnings does in process
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=check)
 
 
@@ -567,6 +577,29 @@ def test_synth_rejects_a_scale_without_positive_finite_times(tmp_path, capsys, s
      "alpha=0.5, gamma1=1e-300, p=0.7 put the constants out of the float range"),
     (["constants", "--alpha", "400", "--gamma1", "0.3", "--p", "0.7"],
      "alpha=400.0, gamma1=0.3, p=0.7 put the constants out of the float range"),
+    # an alpha whose residual leaves the float range on the search domain,
+    # where every grid row would read as an exact zero
+    (["estimate", "DATA", "--k-min", "1", "--alpha", "1e300"],
+     "alpha=1e+300 puts the MDPD residual out of the float range on the domain "
+     "(1e-06, 50.0); choose a smaller alpha or domain"),
+    (["estimate", "DATA", "--k-min", "1", "--alpha", "0.5", "--domain", "1e300", "1e308"],
+     "alpha=0.5 puts the MDPD residual out of the float range on the domain "
+     "(1e+300, 1e+308); choose a smaller alpha or domain"),
+    # model parameters whose draw underflows to 0 or overflows to inf
+    (["synth", "--n", "2000", "--gamma1", "1e-300", "--p", "0.7"],
+     "a drawn time is not positive and finite at gamma1=1e-300, eta=0.25, theta1=1; "
+     "choose other model parameters"),
+    (["synth", "--n", "2000", "--gamma1", "0.5", "--p", "0.7", "--eta", "1e300"],
+     "a drawn time is not positive and finite at gamma1=0.5, eta=1e+300, theta1=1; "
+     "choose other model parameters"),
+    (["synth", "--n", "2000", "--gamma1", "0.5", "--p", "0.7", "--epsilon", "0.5",
+      "--theta1", "1e300"],
+     "a drawn time is not positive and finite at gamma1=0.5, eta=0.25, theta1=1e+300; "
+     "choose other model parameters"),
+    (["synth", "--n", "2000", "--gamma1", "0.5", "--p", "0.7", "--epsilon", "0.5",
+      "--theta1", "1e-300"],
+     "a drawn time is not positive and finite at gamma1=0.5, eta=0.25, theta1=1e-300; "
+     "choose other model parameters"),
 ])
 def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     f = tmp_path / "d.csv"
@@ -576,6 +609,24 @@ def test_argument_errors_exit_1(tmp_path, capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.strip() == f"error: {message}"
+
+
+def test_parser_is_built_once_and_the_command_looked_up_when_it_runs(capsys, monkeypatch):
+    argv = ["constants", "--alpha", "0.5", "--gamma1", "0.3", "--p", "0.7"]
+    assert run_cli(capsys, *argv)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_constants", lambda args: seen.append(args.alpha) or 7)
+    assert run_cli(capsys, *argv) == (7, "", "")
+    assert run_cli(capsys, *argv[:2], "0.25", *argv[3:]) == (7, "", "")
+    assert seen == [0.5, 0.25]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_every_subcommand_has_its_cmd_function():
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert sorted(commands) == ["constants", "contaminate", "estimate", "sweep", "synth"]
+    assert all(callable(getattr(cli, f"cmd_{name}")) for name in commands)
 
 
 def test_estimate_reversed_domain_still_solves(tmp_path, capsys):

@@ -154,6 +154,26 @@ def test_window_estimate_checks_alpha_as_tail_config_does(toy, alpha):
         MdpdWindow(toy, 2).estimate(alpha)
 
 
+@pytest.mark.parametrize("alpha, domain", [
+    (3e152, (1e-6, 50.0)),  # (1 + alpha + 50 alpha)^2 overflows
+    (np.float64(1e300), (1e-6, 50.0)),
+    (0.5, (1e300, 1e308)),
+    (1e-200, (1e-6, 1e300)),  # alpha g (g + 1) overflows where the square does not
+    (1e-300, (1e-320, 1.0)),  # the exponent alpha (1 + 1/g) L overflows
+])
+def test_window_estimate_refuses_an_alpha_whose_residual_leaves_the_float_range(toy, alpha,
+                                                                               domain):
+    # there the residual overflows, with a warning, and every grid row could read as a root
+    with pytest.raises(ValueError, match="out of the float range on the domain"):
+        MdpdWindow(toy, 2).estimate(alpha, SolverOptions(*domain))
+
+
+def test_window_estimate_takes_the_largest_alpha_in_range_at_the_default_domain(toy):
+    # the model term dominates every residual there, which is then finite and negative
+    with pytest.raises(NoRootError, match="no root in bracket"):
+        MdpdWindow(toy, 2).estimate(2.5e152)
+
+
 def test_mdpd_alpha0_is_mns_bitwise(toy):
     result = mdpd_estimate(toy, TailConfig(k=2, alpha=0.0))
     assert result.method == "MNS"

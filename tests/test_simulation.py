@@ -355,16 +355,22 @@ def test_local_scans_ask_for_at_most_two_thirds_of_the_wide_scans_points(monkeyp
 
 @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
 def test_block_rejects_a_time_that_is_not_positive_and_finite(monkeypatch, bad):
-    # the block is checked once, with the message of OrderedSample's check
-    draw = simulation._draw_arrays
+    # the draw checks every time it folds: replicate 1's lifetime 7 is bad
+    # and its censoring time inf, so that the bad value is its observed time
+    burr, frechet = simulation.burr_quantile, simulation.frechet_quantile
 
-    def with_bad_time(*args):
-        z, delta = draw(*args)
-        z[1, 7] = bad
-        return z, delta
+    def at_one_entry(quantile, value):
+        def patched(*args):
+            out = quantile(*args)
+            if out.ndim == 2:  # not the contaminants' draw, which is 1-d
+                out[1, 7] = value
+            return out
+        return patched
 
-    monkeypatch.setattr(simulation, "_draw_arrays", with_bad_time)
-    with pytest.raises(InvalidSampleError, match="all z must be positive and finite"):
+    monkeypatch.setattr(simulation, "burr_quantile", at_one_entry(burr, bad))
+    monkeypatch.setattr(simulation, "frechet_quantile", at_one_entry(frechet, np.inf))
+    with pytest.raises(InvalidSampleError, match="a drawn time is not positive and finite "
+                                                 "at gamma1=0.3, eta=0.25, theta1=0.6"):
         _block_estimates(make_spec(), range(3))
 
 
