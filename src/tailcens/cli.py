@@ -175,8 +175,9 @@ def write_dataset(times: np.ndarray, statuses: np.ndarray, out) -> None:
 # X, from _EXP_MIN to _EXP_MAX, and the index of its last nonzero digit.
 _EXP_MIN, _EXP_MAX = -11, 34
 _PREFIX = np.frombuffer(b"0.000\0\0\0", dtype=np.uint64)
-# how close to a half the scaled time may come before its row is left to %
-_TIE_MARGIN = 1e-3
+# how close to a half the scaled time may come before its row is left to %:
+# twice the largest rounding error of the scaled time, 2^-14 (see _format_rows)
+_TIE_MARGIN = 2.0**-13
 # rows of a block that one np.compress packs
 _COMPRESS_ROWS = 1 << 12
 
@@ -228,14 +229,14 @@ def _format_rows(times: np.ndarray, statuses: np.ndarray) -> str:
     is formatted by array arithmetic.  Take q = 11 - floor(log10 t).  For
     |q| <= 22 the power 10^|q| is exact in float64, so y = t * 10^q (or
     t / 10^-q) carries a single rounding, and where y lies in
-    [10^11, 10^12) it is off the exact product by at most half an ulp of
-    2^39, 2^-14 < 1.2e-4.  Where the fraction of y also lies more than
-    ``_TIE_MARGIN`` from 1/2, the exact product rounds to the same integer
-    N = rint(y), which is the correctly rounded 12-digit significand that
-    ``%.12g`` prints; N = 10^12 is 10^11 one decade up.  The digits of N
-    and its last nonzero digit come from tables of 4-digit groups, and the
-    decimal exponent X and the last digit pick the columns of the row
-    layout above that make the ``%g`` text: fixed notation for
+    [10^11, 10^12), below 2^40, it is off the exact product by at most
+    half an ulp of 2^39, 2^-14 ~ 6.1e-5.  Where the fraction of y also
+    lies more than ``_TIE_MARGIN`` from 1/2, the exact product rounds to
+    the same integer N = rint(y), which is the correctly rounded 12-digit
+    significand that ``%.12g`` prints; N = 10^12 is 10^11 one decade up.
+    The digits of N and its last nonzero digit come from tables of 4-digit
+    groups, and the decimal exponent X and the last digit pick the columns
+    of the row layout above that make the ``%g`` text: fixed notation for
     -4 <= X < 12, ``d.ddde+XX`` otherwise.
 
     Every other row (a time not positive, inf, nan or -0.0; a status

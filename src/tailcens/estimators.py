@@ -426,7 +426,7 @@ def _nearest_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray], cel
 
 
 def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 reference: np.ndarray) -> np.ndarray:
+                 reference: np.ndarray, batch: int) -> np.ndarray:
     """Each cell's MDPD estimate: its full scan's root nearest the reference, or NaN.
 
     Cell c is one window at one alpha > 0; residual(cells, g) returns, for
@@ -448,6 +448,14 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     any distance.  So each cell gets the bits of ``MdpdWindow.estimate``,
     and NaN exactly where that raises: where no root meets ``tol_abs``, as
     where all weights are 0 and the residual is negative everywhere.
+
+    batch is the most cells whose narrow rows residual evaluates at once
+    (in :func:`_solve_windows`, the cells of one k).  The wider scans take
+    LOCAL_ROWS - NARROW_ROWS rows a call, so they ask for their cells in
+    groups of batch * NARROW_ROWS // (LOCAL_ROWS - NARROW_ROWS), one at
+    least: their temporaries then take no more at once than the narrow
+    scan's.  The groups do not change a bit, since each residual is its
+    own product.
     """
     grid = _SWEEP_OPTIONS.grid
     nearest = np.searchsorted(grid, reference)
@@ -471,20 +479,26 @@ def _local_roots(residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     settled = np.any((values == 0.0) & within, axis=1) | np.any(
         (np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0) & within[:, :-1] & within[:, 1:],
         axis=1)
+    step = LOCAL_ROWS - NARROW_ROWS
+    group = max(1, batch * NARROW_ROWS // step)
     wide = np.flatnonzero(~settled)
     rest = np.ones((wide.size, LOCAL_ROWS), dtype=bool)
     rest[np.arange(wide.size)[:, None], narrow[wide]] = False
-    rest = np.nonzero(rest)[1].reshape(wide.size, LOCAL_ROWS - NARROW_ROWS)
-    values[wide[:, None], rest] = residual(wide, points[wide[:, None], rest])
+    rest = np.nonzero(rest)[1].reshape(wide.size, step)
+    for lo in range(0, wide.size, group):
+        cells, rows = wide[lo:lo + group], rest[lo:lo + group]
+        values[cells[:, None], rows] = residual(cells, points[cells[:, None], rows])
     reach[settled] = narrow_reach[settled]
     found = _nearest_roots(residual, every, points, values, reference, reach)
 
-    left, step = np.flatnonzero(np.isnan(found)), LOCAL_ROWS - NARROW_ROWS
+    left = np.flatnonzero(np.isnan(found))
     if left.size:
         points = np.broadcast_to(grid, (left.size, grid.size))
         values = np.empty(points.shape)
-        for start in range(0, grid.size, step):
-            values[:, start:start + step] = residual(left, points[:, start:start + step])
+        for lo in range(0, left.size, group):
+            for start in range(0, grid.size, step):
+                values[lo:lo + group, start:start + step] = residual(
+                    left[lo:lo + group], points[lo:lo + group, start:start + step])
         found[left] = _nearest_roots(residual, left, points, values, reference[left],
                                      np.full(left.size, np.inf))
     return found
@@ -516,8 +530,9 @@ def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.n
     .estimate(alpha).gamma1_hat``, and NaN where that raises
     EstimationError.  The windows are built once per k.  Every cell at
     alpha > 0, whatever its k, is solved in one :func:`_local_roots`, its
-    only solve path: each of its scans takes one :func:`_stacked_residuals`
-    per k, and each Brent step one per k that still has cells iterating.
+    only solve path: its narrow scan takes one :func:`_stacked_residuals`
+    per k, each wider scan one per k and group of cells, and each Brent
+    step one per k that still has cells iterating.
     """
     alphas = np.asarray(alphas, dtype=float)
     positive = np.flatnonzero(alphas > 0)
@@ -549,6 +564,6 @@ def _solve_windows(tops: np.ndarray, deltas: np.ndarray, k_grid, alphas) -> np.n
     references = np.stack([reference for *_, reference in windows], axis=1)
     out = np.empty((size, len(k_grid), alphas.size))
     out[:, :, alphas == 0] = np.where(references > 0, references, np.nan)[:, :, None]
-    local = _local_roots(residual, np.repeat(references.T, cells_per_window))
+    local = _local_roots(residual, np.repeat(references.T, cells_per_window), cells_per_k)
     out[:, :, positive] = local.reshape(len(k_grid), size, cells_per_window).transpose(1, 0, 2)
     return out

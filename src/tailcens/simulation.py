@@ -22,16 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import LOCAL_ROWS, _SWEEP_OPTIONS, _check_alpha_domain, _solve_windows
+from .estimators import NARROW_ROWS, _SWEEP_OPTIONS, _check_alpha_domain, _solve_windows
 from .sample_model import InvalidSampleError, ModelParams, _top_slice
 
 # Bytes that the float64 arrays of one block of replicates, which are
-# drawn and solved together, may take: per replicate, the local scans of
-# its cells at alpha > 0 (LOCAL_ROWS x largest k each, which bounds the
-# narrow scan of every cell, and the wider scan and the full-grid scan,
-# LOCAL_ROWS - NARROW_ROWS rows at a time, of the cells that need them),
-# its largest observations, three n-long draw arrays and the two arrays
-# of each k's window.
+# drawn and solved together, may take: per replicate, the narrow scans of
+# its cells at alpha > 0 (NARROW_ROWS x largest k each; the wider scans of
+# the cells that need them go in groups that take no more at once, see
+# estimators._local_roots), its largest observations, three n-long draw
+# arrays and the two arrays of each k's window.
 BLOCK_BYTES = 3 << 20
 
 # Columns of a draw whose quantiles and censoring are evaluated at once
@@ -221,32 +220,36 @@ def _block_estimates(spec: SweepSpec, replicates: Sequence[int]) -> np.ndarray:
     (:func:`_draw_arrays`, which checks every time).  Each row's
     max(k_grid) + 1 largest observations are then taken in the order of
     ``np.argsort(z, kind="stable")``, the permutation of
-    ``ordered_from_arrays`` (:func:`_top_slice`), and every cell is solved
-    in one ``estimators._solve_windows``, so every value is bit-identical
-    to ``MdpdWindow(sample, k).estimate(alpha).gamma1_hat``.
+    ``ordered_from_arrays`` (:func:`_top_slice`), and the draw is freed.
+    Every cell is solved in one ``estimators._solve_windows``, so every
+    value is bit-identical to ``MdpdWindow(sample, k).estimate(alpha)
+    .gamma1_hat``.
     """
     z, delta = _draw_arrays(spec.n, spec.model, spec.contamination,
                             [_replicate_rng(spec.seed, r) for r in replicates])
     top = _top_slice(z, max(spec.k_grid) + 1)
-    return _solve_windows(np.take_along_axis(z, top, axis=1),
-                          np.take_along_axis(delta, top, axis=1), spec.k_grid, spec.alphas)
+    tops, deltas = np.take_along_axis(z, top, axis=1), np.take_along_axis(delta, top, axis=1)
+    del z, delta, top
+    return _solve_windows(tops, deltas, spec.k_grid, spec.alphas)
 
 
 def _replicate_range(spec: SweepSpec, start: int, stop: int) -> np.ndarray:
     """Estimates of replicates start..stop-1, shape (stop-start, k, alpha); NaN on failure.
 
-    The replicates are drawn and solved in consecutive blocks, each as
-    many replicates as BLOCK_BYTES holds (one at least), so the memory of a
+    The replicates are drawn and solved in consecutive blocks: as few as
+    BLOCK_BYTES allows, each at most as many replicates as it holds (one at
+    least), with sizes that differ by one at most.  So the memory of a
     range does not grow with its length; each process of a pooled sweep
-    solves one such range.  A block's values do not depend on the replicates
-    solved with it (see :func:`_block_estimates`).
+    solves one such range.  A block's values do not depend on the
+    replicates solved with it (see :func:`_block_estimates`).
     """
     cells = sum(a > 0 for a in spec.alphas)
-    per_replicate = 8 * (max(spec.k_grid) * (LOCAL_ROWS * cells + 1) + 3 * spec.n
+    per_replicate = 8 * (max(spec.k_grid) * (NARROW_ROWS * cells + 1) + 3 * spec.n
                          + 2 * sum(spec.k_grid))
-    size = max(1, BLOCK_BYTES // per_replicate)
-    return np.concatenate([_block_estimates(spec, range(lo, min(lo + size, stop)))
-                           for lo in range(start, stop, size)])
+    blocks = -(-(stop - start) // max(1, BLOCK_BYTES // per_replicate))
+    bounds = [start + (stop - start) * i // blocks for i in range(blocks + 1)]
+    return np.concatenate([_block_estimates(spec, range(lo, hi))
+                           for lo, hi in zip(bounds, bounds[1:])])
 
 
 def _usable_cpus() -> int:
@@ -326,15 +329,18 @@ def run_sweep(spec: SweepSpec, n_jobs: int = 1) -> SweepResult:
     solves one contiguous range of replicates, and the ranges are
     concatenated in replicate order (:func:`_replicate_ranges`), so the
     result does not depend on n_jobs or scheduling.  A range is solved in
-    blocks of replicates under BLOCK_BYTES (:func:`_replicate_range`).  A
-    block is drawn as one (z, delta) pair of arrays, without its latent
-    lifetimes and censoring times (:func:`_draw_arrays`), and only each
-    row's max(k) + 1 largest times are ordered (:func:`_top_slice`).  Every
+    as few blocks of equal size as BLOCK_BYTES allows
+    (:func:`_replicate_range`).  A block is drawn as one (z, delta) pair of
+    arrays, without its latent lifetimes and censoring times
+    (:func:`_draw_arrays`), and only each row's max(k) + 1 largest times
+    are ordered (:func:`_top_slice`).  Every
     (k, alpha) cell of it is solved together: a local root scan of 6, then
     where needed 16, grid rows and one lockstep Brent pass over every k,
     then the whole grid and a second such pass for the cells still
-    unproven.  That gives every cell the full scan's root bit for bit, and
-    does not depend on the block.
+    unproven.  The 6-row scan sizes the block; the wider scans ask for
+    their cells in groups that take no more memory at once.  That gives
+    every cell the full scan's root bit for bit, and does not depend on the
+    block.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs={n_jobs} must be >= 1")

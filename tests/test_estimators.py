@@ -468,7 +468,7 @@ def scripted(*windows):
 
 def local_roots(*windows):
     reference = np.array([w.reference for w in windows])
-    return estimators._local_roots(scripted(*windows), reference)
+    return estimators._local_roots(scripted(*windows), reference, reference.size)
 
 
 def full_estimate(window, alpha=0.5):
@@ -494,7 +494,7 @@ def scanned_rows(window):
             rows.append(g.shape[1])
         return residual(cells, g)
 
-    estimators._local_roots(recorded, np.array([window.reference]))
+    estimators._local_roots(recorded, np.array([window.reference]), 1)
     return rows
 
 

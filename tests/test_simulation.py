@@ -300,9 +300,9 @@ def test_replicate_estimates_byte_equal_full_scan(monkeypatch, seed, epsilon):
     calls = []
     local_roots = estimators._local_roots
 
-    def counted(residual, reference):
+    def counted(residual, reference, batch):
         calls.append(reference.size)
-        return local_roots(residual, reference)
+        return local_roots(residual, reference, batch)
 
     monkeypatch.setattr(estimators, "_local_roots", counted)
     full_grid = count_full_grid_cells(monkeypatch)
@@ -342,11 +342,11 @@ def test_local_scans_ask_for_at_most_two_thirds_of_the_wide_scans_points(monkeyp
     points = []
     local_roots = estimators._local_roots
 
-    def counted(residual, reference):
+    def counted(residual, reference, batch):
         def recorded(cells, g):
             points.append(g.size)
             return residual(cells, g)
-        return local_roots(recorded, reference)
+        return local_roots(recorded, reference, batch)
 
     monkeypatch.setattr(estimators, "_local_roots", counted)
     _replicate_range(spec, 0, spec.replicates)
@@ -402,29 +402,86 @@ def test_block_orders_tied_times_as_ordered_from_arrays(monkeypatch):
                 assert np.array(want).tobytes() == block[r, ki, ai].tobytes(), (r, k, alpha)
 
 
-def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
-    spec = make_spec(**SWEEP_EPS40, replicates=30)
+def record_block_sizes(monkeypatch, solve=_block_estimates):
+    """A list that gets the number of replicates of each block that _replicate_range solves."""
     sizes = []
 
     def recorded(spec, replicates):
         sizes.append(len(replicates))
-        return _block_estimates(spec, replicates)
+        return solve(spec, replicates)
 
     monkeypatch.setattr(simulation, "_block_estimates", recorded)
-    whole = _replicate_range(spec, 3, 30)
-    # 3 cells at alpha > 0 with 16 scanned rows of k <= 300, the 301 largest
+    return sizes
+
+
+def test_replicate_range_splits_into_blocks_under_the_byte_budget(monkeypatch):
+    spec = make_spec(**SWEEP_EPS40, replicates=80)
+    sizes = record_block_sizes(monkeypatch)
+    whole = _replicate_range(spec, 3, 80)
+    # 3 cells at alpha > 0 with 6 narrow rows of k <= 300, the 301 largest
     # observations, three draw arrays of n = 1000 and two window arrays of
-    # each k, whose sum is 1050: 8 * (300 * 49 + 3000 + 2100) = 158 400
-    # bytes a replicate
-    assert sizes == [19, 8]
-    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 158_400 - 1)
+    # each k, whose sum is 1050: 8 * (300 * 19 + 3000 + 2100) = 86 400
+    # bytes a replicate, so a block holds 36 and 77 replicates take 3 blocks
+    # of equal size
+    assert sizes == [25, 26, 26]
+    monkeypatch.setattr(simulation, "BLOCK_BYTES", 4 * 86_400 - 1)
     sizes.clear()
-    assert _replicate_range(spec, 3, 30).tobytes() == whole.tobytes()
+    assert _replicate_range(spec, 3, 30).tobytes() == whole[:27].tobytes()
     assert sizes == [3] * 9
+    # 10 replicates in blocks of 3 at most: 4 blocks, not 3 + 3 + 3 + 1
+    sizes.clear()
+    assert _replicate_range(spec, 3, 13).tobytes() == whole[:10].tobytes()
+    assert sizes == [2, 3, 2, 3]
     monkeypatch.setattr(simulation, "BLOCK_BYTES", 1)
     sizes.clear()
     assert _replicate_range(spec, 3, 6).tobytes() == whole[:3].tobytes()
     assert sizes == [1, 1, 1]
+
+
+def test_a_worker_range_of_the_readme_sweep_is_three_blocks(monkeypatch):
+    # each of the two ranges of a pooled README sweep is 100 replicates, and
+    # a block holds 36 of them (see above); sized by 16 rows a cell it held
+    # 19, and the range took 6 blocks
+    spec = make_spec(**SWEEP_EPS40, replicates=200)
+    sizes = record_block_sizes(
+        monkeypatch, lambda spec, replicates: np.empty((len(replicates), 6, 4)))
+    assert _replicate_range(spec, 100, 200).shape == (100, 6, 4)
+    assert sizes == [33, 33, 34]
+
+
+@pytest.mark.parametrize("epsilon, censored", [(0.0, False), (0.4, False), (0.4, True)],
+                         ids=["eps 0", "eps 0.4", "every window censored"])
+def test_grouped_wider_scans_are_byte_equal_to_one_group(monkeypatch, epsilon, censored):
+    # seed 7's replicates 1 and 162 hold the eps = 0.4 cells that reach the
+    # full grid (see above); at a batch of b cells the 16-row and full-grid
+    # scans ask for groups of max(1, 6 * b // 10) cells
+    spec = make_spec(**{**SWEEP_EPS40, "seed": 7,
+                        "contamination": ContaminationSpec(epsilon=epsilon, theta1=0.6)})
+    if censored:
+        censor_every_draw(monkeypatch)
+    replicates = [0, 1, 2, 162]
+    as_solved = _block_estimates(spec, replicates).tobytes()
+    full_grid = count_full_grid_cells(monkeypatch)
+    local_roots = estimators._local_roots
+    scans = []
+
+    def at_batch(batch):
+        def solve(residual, reference, _):
+            def recorded(cells, g):
+                if g.shape[1] == estimators.LOCAL_ROWS - estimators.NARROW_ROWS:
+                    scans[-1] += 1
+                return residual(cells, g)
+            return local_roots(recorded, reference, batch)
+        return solve
+
+    for batch in (1, 5, 10**6):  # groups of 1 and 3 cells, and one group
+        scans.append(0)
+        monkeypatch.setattr(estimators, "_local_roots", at_batch(batch))
+        assert _block_estimates(spec, replicates).tobytes() == as_solved, batch
+    # several cells reach the full grid, so a batch of 1 splits both wider
+    # stages into several groups, and one group makes the fewest calls
+    assert full_grid[0] == full_grid[1] == full_grid[2] > 1
+    assert scans[0] > scans[1] > scans[2]
 
 
 def traced_peak_mib(spec):
@@ -440,22 +497,20 @@ def traced_peak_mib(spec):
 
 def test_replicate_range_memory_is_bounded():
     # the arrays a block is sized by take at most BLOCK_BYTES = 3 MiB, which
-    # counts 16 scanned rows a cell; the sweep-eps40 spec peaked at 1.63 MiB
-    # (3.06 MiB when every cell scanned 16 rows), in blocks of 19 replicates
+    # counts 6 narrow rows a cell; the sweep-eps40 spec peaks at 2.44 MiB in
+    # blocks of 33 and 34 replicates (1.63 MiB in blocks of 19, when 16 rows
+    # a cell were counted)
     assert traced_peak_mib(make_spec(**SWEEP_EPS40, replicates=200)) <= 4.0
-    # at k = 5000 a block is one replicate, whose three 16-row scans would
-    # take 1.83 MiB; it peaked at 1.13 MiB (2.28 MiB with 16-row scans),
-    # against 1.42 MiB for the cell-by-cell solve that the block solve replaced
+    # at k = 5000 a block is two replicates; it peaks at 1.83 MiB (1.13 MiB
+    # at one replicate a block), against 1.42 MiB for the cell-by-cell solve
+    # that the block solve replaced
     big = make_spec(**{**SWEEP_EPS40, "n": 20_000, "k_grid": (1000, 3000, 5000)},
                     replicates=4)
     assert traced_peak_mib(big) <= 2 * 1.42
 
 
-def test_replicate_range_memory_is_bounded_when_every_cell_scans_the_full_grid(monkeypatch):
-    # with every observation censored, every window's weights are 0, so no
-    # cell has a root and each scans the whole grid, ten rows at a time: the
-    # sweep-eps40 spec then peaks at 2.96 MiB (2.65 MiB when such cells were
-    # solved one by one), within the bound above
+def censor_every_draw(monkeypatch):
+    """Censor every drawn observation, so that every window's weights are 0."""
     draw = simulation._draw_arrays
 
     def censored(*args):
@@ -464,6 +519,15 @@ def test_replicate_range_memory_is_bounded_when_every_cell_scans_the_full_grid(m
         return z, delta
 
     monkeypatch.setattr(simulation, "_draw_arrays", censored)
+
+
+def test_replicate_range_memory_is_bounded_when_every_cell_scans_the_full_grid(monkeypatch):
+    # with every observation censored, every window's weights are 0, so no
+    # cell has a root and each scans the whole grid, ten rows at a time, in
+    # groups of cells: the sweep-eps40 spec then peaks at 3.72 MiB, within
+    # the bound above (2.96 MiB in ungrouped blocks of 19, 2.65 MiB when
+    # such cells were solved one by one)
+    censor_every_draw(monkeypatch)
     full_grid = count_full_grid_cells(monkeypatch)
     spec = make_spec(**SWEEP_EPS40, replicates=200)
     assert traced_peak_mib(spec) <= 4.0
